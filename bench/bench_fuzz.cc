@@ -4,16 +4,22 @@
  * the clean tree, with and without MIR lockstep, plus the fuzz
  * campaign shards' aggregate rate.  A clean tree must produce zero
  * divergences — the bench double-checks the oracles' false-positive
- * rate while measuring.  Writes BENCH_fuzz.json.
+ * rate while measuring.  It also times the fixed world-building cost
+ * every exec pays: one hv::Machine construction, and one empty-trace
+ * exec (machine, abstract states and oracles built and torn down).
+ * Writes BENCH_fuzz.json.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "bench_report.hh"
 #include "check/campaign.hh"
 #include "fuzz/fuzzer.hh"
+#include "hv/machine.hh"
 
 using namespace hev;
 using namespace hev::fuzz;
@@ -54,6 +60,24 @@ measure(u64 execs, bool mir_lockstep)
     return metrics;
 }
 
+/** Median wall time of `reps` calls of body, in microseconds. */
+template <typename F>
+double
+medianUs(int reps, F &&body)
+{
+    std::vector<double> samples;
+    for (int r = 0; r < reps; ++r) {
+        const auto start = std::chrono::steady_clock::now();
+        body();
+        const std::chrono::duration<double, std::micro> took =
+            std::chrono::steady_clock::now() - start;
+        samples.push_back(took.count());
+    }
+    std::nth_element(samples.begin(), samples.begin() + reps / 2,
+                     samples.end());
+    return samples[reps / 2];
+}
+
 } // namespace
 
 int
@@ -67,6 +91,21 @@ main()
 
     bench::JsonReport report("fuzz");
     report.metric("execs", execs);
+
+    // The world every exec builds before its first op.
+    const ExecOptions standard = ExecOptions::standard();
+    bool empty_clean = true;
+    const double exec_empty_us = medianUs(201, [&] {
+        empty_clean &= !executeTrace(standard, Trace{}).divergence;
+    });
+    if (!empty_clean)
+        return 1;
+    const double machine_ctor_us =
+        medianUs(201, [&] { hv::Machine machine(standard.monitor); });
+    std::printf("empty-trace exec: %8.1f us   machine ctor: %8.1f us\n",
+                exec_empty_us, machine_ctor_us);
+    report.metric("exec_empty_us", exec_empty_us);
+    report.metric("machine_ctor_us", machine_ctor_us);
 
     const RunMetrics full = measure(execs, true);
     if (full.divergences != 0)

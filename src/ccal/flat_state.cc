@@ -12,9 +12,9 @@ using mir::Trap;
 using mir::TrapKind;
 using mir::Value;
 
-FlatState::FlatState(const Geometry &geometry) : geo(geometry)
+FlatState::FlatState(const Geometry &geometry)
+    : geo(geometry), words(geo.frameCount * entriesPerTable)
 {
-    words.assign(geo.frameCount * entriesPerTable, 0);
     allocated.assign(geo.frameCount, false);
     epcm.assign(geo.epcCount, AbsEpcmEntry{});
 }
@@ -40,14 +40,16 @@ FlatState::writeWord(u64 addr, u64 value)
     if (!validWord(addr))
         panic("flat state write of invalid word %#llx",
               (unsigned long long)addr);
-    words[(addr - geo.frameBase) / sizeof(u64)] = value;
+    words.set((addr - geo.frameBase) / sizeof(u64), value);
 }
 
 void
 FlatState::zeroFrame(u64 frame)
 {
-    for (u64 off = 0; off < pageSize; off += sizeof(u64))
-        writeWord(frame + off, 0);
+    if (!validWord(frame) || (frame - geo.frameBase) % pageSize != 0)
+        panic("flat state zeroFrame of invalid frame %#llx",
+              (unsigned long long)frame);
+    words.zeroPage((frame - geo.frameBase) / pageSize);
 }
 
 Outcome<Value>

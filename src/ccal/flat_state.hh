@@ -19,6 +19,7 @@
 
 #include "ccal/geometry.hh"
 #include "mirlight/abstract_state.hh"
+#include "support/demand_zero.hh"
 #include "support/types.hh"
 
 namespace hev::mir
@@ -121,8 +122,9 @@ struct FlatState
 {
     Geometry geo;
 
-    /** Frame-area contents, one u64 per word. */
-    std::vector<u64> words;
+    /** Frame-area contents, one u64 per word (demand-zero, so copies
+     *  and comparisons cost only the frames ever written). */
+    DemandZeroWords words;
     /** Frame-allocator bitmap, one flag per frame. */
     std::vector<bool> allocated;
     /** EPCM, one entry per EPC page. */
@@ -174,7 +176,7 @@ struct FlatState
         writeWord(table + index * sizeof(u64), entry);
     }
 
-    /** Zero a whole frame. */
+    /** Zero a whole frame; `frame` must be a frame base. */
     void zeroFrame(u64 frame);
 
     /** Frame base of frame-area frame i. */

@@ -5,6 +5,14 @@
 namespace hev::hv
 {
 
+namespace
+{
+
+/** Bytes mapped by one level-1 table. */
+constexpr u64 leafSpan = entriesPerTable * pageSize;
+
+} // namespace
+
 PrimaryOs::PrimaryOs(Monitor &mon) : monitor(mon)
 {
     const u64 pages = mon.config().layout.normalRange().size() / pageSize;
@@ -45,39 +53,48 @@ PrimaryOs::freePage(Gpa page)
     return okStatus();
 }
 
-Expected<u64>
-PrimaryOs::physRead(Gpa addr) const
+Expected<Hpa>
+PrimaryOs::eptTranslate(Gpa addr, bool is_write) const
 {
     // The OS kernel can touch any guest-physical address: model that as
     // a direct EPT translation (identity GPT), which is what an OS
     // running with a full linear mapping achieves.
     const PageTable ept(const_cast<PhysMem &>(monitor.mem()), nullptr,
                         monitor.normalEptRoot());
-    auto tr = ept.translate(addr.value, false, false);
+    auto tr = ept.translate(addr.value, is_write, false);
     if (!tr)
         return tr.error();
-    return monitor.mem().read(Hpa(tr->physAddr));
+    return Hpa(tr->physAddr);
+}
+
+Expected<u64>
+PrimaryOs::physRead(Gpa addr) const
+{
+    auto hpa = eptTranslate(addr, false);
+    if (!hpa)
+        return hpa.error();
+    return monitor.mem().read(*hpa);
 }
 
 Status
 PrimaryOs::physWrite(Gpa addr, u64 value)
 {
-    const PageTable ept(const_cast<PhysMem &>(monitor.mem()), nullptr,
-                        monitor.normalEptRoot());
-    auto tr = ept.translate(addr.value, true, false);
-    if (!tr)
-        return tr.error();
-    monitor.mem().write(Hpa(tr->physAddr), value);
+    auto hpa = eptTranslate(addr, true);
+    if (!hpa)
+        return hpa.error();
+    monitor.mem().write(*hpa, value);
     return okStatus();
 }
 
 Status
 PrimaryOs::zeroPage(Gpa page)
 {
-    for (u64 off = 0; off < pageSize; off += sizeof(u64)) {
-        if (auto st = physWrite(page + off, 0); !st)
-            return st.error();
-    }
+    if (page.value % pageSize != 0)
+        return HvError::NotAligned;
+    auto hpa = eptTranslate(page, true);
+    if (!hpa)
+        return hpa.error();
+    monitor.mem().zeroPage(*hpa);
     return okStatus();
 }
 
@@ -90,37 +107,52 @@ PrimaryOs::createPageTable()
 Status
 PrimaryOs::gptMap(Gpa root, u64 va, Gpa target, PteFlags flags)
 {
+    PageTable::LeafCursor cursor;
+    return gptMap(root, va, target, flags, cursor);
+}
+
+Status
+PrimaryOs::gptMap(Gpa root, u64 va, Gpa target, PteFlags flags,
+                  PageTable::LeafCursor &cursor)
+{
     if (va % pageSize != 0 || target.value % pageSize != 0)
         return HvError::NotAligned;
-    Gpa table = root;
-    for (int level = pagingLevels; level > 1; --level) {
-        const u64 index = Gva(va).tableIndex(level);
-        auto raw = physRead(table + index * sizeof(u64));
-        if (!raw)
-            return raw.error();
-        Pte entry(*raw);
-        if (!entry.present()) {
-            auto frame = allocPage();
-            if (!frame)
-                return frame.error();
-            entry = Pte::make(frame->value, PteFlags::tableLink());
-            if (auto st = physWrite(table + index * sizeof(u64),
-                                    entry.raw()); !st)
-                return st.error();
-        } else if (entry.huge()) {
-            return HvError::AlreadyMapped;
+    const u64 span_base = va & ~(leafSpan - 1);
+    if (cursor.vaBase != span_base) {
+        Gpa table = root;
+        for (int level = pagingLevels; level > 1; --level) {
+            const u64 index = Gva(va).tableIndex(level);
+            auto raw = physRead(table + index * sizeof(u64));
+            if (!raw)
+                return raw.error();
+            Pte entry(*raw);
+            if (!entry.present()) {
+                auto frame = allocPage();
+                if (!frame)
+                    return frame.error();
+                entry = Pte::make(frame->value, PteFlags::tableLink());
+                if (auto st = physWrite(table + index * sizeof(u64),
+                                        entry.raw()); !st)
+                    return st.error();
+            } else if (entry.huge()) {
+                return HvError::AlreadyMapped;
+            }
+            table = Gpa(entry.addr());
         }
-        table = Gpa(entry.addr());
+        // One translation covers the whole leaf table (EPT permissions
+        // are per page); its entries are then accessed directly.
+        auto leaf = eptTranslate(table, true);
+        if (!leaf)
+            return leaf.error();
+        cursor.vaBase = span_base;
+        cursor.table = *leaf;
     }
-    const u64 index = Gva(va).tableIndex(1);
-    auto raw = physRead(table + index * sizeof(u64));
-    if (!raw)
-        return raw.error();
-    if (Pte(*raw).present())
+    const Hpa slot = cursor.table + Gva(va).tableIndex(1) * sizeof(u64);
+    if (Pte(monitor.mem().read(slot)).present())
         return HvError::AlreadyMapped;
     flags.huge = false;
-    return physWrite(table + index * sizeof(u64),
-                     Pte::make(target.value, flags).raw());
+    monitor.mem().write(slot, Pte::make(target.value, flags).raw());
+    return okStatus();
 }
 
 Status

@@ -52,7 +52,11 @@ class PrimaryOs
     /** 64-bit store at a guest-physical address. */
     Status physWrite(Gpa addr, u64 value);
 
-    /** Zero one guest-physical page. */
+    /**
+     * Zero one guest-physical page: one EPT translation for the whole
+     * page (EPT permissions are per page), then a bulk zero.
+     * NotAligned if page is not page aligned.
+     */
     Status zeroPage(Gpa page);
 
     /// @}
@@ -72,6 +76,16 @@ class PrimaryOs
      */
     Status gptMap(Gpa root, u64 va, Gpa target, PteFlags flags);
 
+    /**
+     * gptMap() reusing (and refreshing) a cached leaf-table walk.  The
+     * cursor holds the host frame of the level-1 table, so a run of
+     * maps costs one walk and one EPT translation per 2 MiB span.  It
+     * must not outlive a change to the GPT's intermediate tables or
+     * to the normal EPT.
+     */
+    Status gptMap(Gpa root, u64 va, Gpa target, PteFlags flags,
+                  PageTable::LeafCursor &cursor);
+
     /** Remove a 4 KiB mapping from a guest-built table. */
     Status gptUnmap(Gpa root, u64 va);
 
@@ -88,6 +102,9 @@ class PrimaryOs
     u64 usedPages() const { return usedCount; }
 
   private:
+    /** Normal-EPT translation of a guest-physical address. */
+    Expected<Hpa> eptTranslate(Gpa addr, bool is_write) const;
+
     Monitor &monitor;
     /** One bit per page of normal memory; true = allocated. */
     std::vector<bool> pageBitmap;

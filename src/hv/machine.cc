@@ -9,15 +9,16 @@ Machine::Machine(const MonitorConfig &config)
     : monCfg(config), mon(config), primaryOs(mon)
 {
     // Build the kernel's identity GPT over all of normal memory so the
-    // primary OS can run immediately.
+    // primary OS can run immediately: one walk per 2 MiB leaf span.
     auto root = primaryOs.createPageTable();
     if (!root)
         fatal("cannot allocate the kernel GPT root");
     kernelGpt = *root;
     const u64 normal_bytes = config.layout.normalRange().size();
+    PageTable::LeafCursor cursor;
     for (u64 addr = 0; addr < normal_bytes; addr += pageSize) {
         if (auto st = primaryOs.gptMap(kernelGpt, addr, Gpa(addr),
-                                       PteFlags::userRw()); !st)
+                                       PteFlags::userRw(), cursor); !st)
             fatal("kernel GPT identity map failed: %s",
                   hvErrorName(st.error()));
     }
@@ -40,12 +41,14 @@ Machine::createApp(u64 va_base, u64 pages)
     App app;
     app.gptRoot = *root;
     app.range = {Gva(va_base), Gva(va_base + pages * pageSize)};
+    PageTable::LeafCursor cursor;
     for (u64 i = 0; i < pages; ++i) {
         auto page = primaryOs.allocPage();
         if (!page)
             return page.error();
         if (auto st = primaryOs.gptMap(*root, va_base + i * pageSize,
-                                       *page, PteFlags::userRw()); !st)
+                                       *page, PteFlags::userRw(), cursor);
+            !st)
             return st.error();
         app.backing.push_back(*page);
     }

@@ -226,6 +226,7 @@ Monitor::Monitor(const MonitorConfig &config)
     // the spatial-isolation linchpin.
     const HpaRange normal = cfg.layout.normalRange();
     const u64 hugeSpan = 2 * 1024 * 1024;
+    PageTable::LeafCursor cursor;
     u64 addr = 0;
     while (addr < normal.size()) {
         const u64 remaining = normal.size() - addr;
@@ -237,8 +238,8 @@ Monitor::Monitor(const MonitorConfig &config)
                       hvErrorName(st.error()));
             addr += hugeSpan;
         } else {
-            if (auto st = normalEpt->map(addr, addr, PteFlags::userRw());
-                !st)
+            if (auto st = normalEpt->map(addr, addr, PteFlags::userRw(),
+                                         cursor); !st)
                 fatal("normal EPT map failed: %s", hvErrorName(st.error()));
             addr += pageSize;
         }

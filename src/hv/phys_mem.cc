@@ -12,7 +12,7 @@ PhysMem::PhysMem(const MemLayout &layout) : memLayout(layout)
               (unsigned long long)layout.totalBytes,
               (unsigned long long)layout.ptAreaBytes,
               (unsigned long long)layout.epcBytes);
-    words.assign(layout.totalBytes / sizeof(u64), 0);
+    words = DemandZeroWords(layout.totalBytes / sizeof(u64));
 }
 
 bool
@@ -36,7 +36,7 @@ PhysMem::write(Hpa hpa, u64 value)
     if (!validWord(hpa))
         panic("phys write of invalid word address %#llx",
               (unsigned long long)hpa.value);
-    words[hpa.value / sizeof(u64)] = value;
+    words.set(hpa.value / sizeof(u64), value);
 }
 
 Expected<u64>
@@ -67,7 +67,7 @@ PhysMem::pageWords(Hpa page_base) const
         page_base.value + pageSize > memLayout.totalBytes)
         panic("pageWords of invalid page %#llx",
               (unsigned long long)page_base.value);
-    return &words[page_base.value / sizeof(u64)];
+    return words.page(page_base.value / pageSize);
 }
 
 u64 *
@@ -77,17 +77,17 @@ PhysMem::pageWordsMut(Hpa page_base)
         page_base.value + pageSize > memLayout.totalBytes)
         panic("pageWords of invalid page %#llx",
               (unsigned long long)page_base.value);
-    return &words[page_base.value / sizeof(u64)];
+    return words.pageMut(page_base.value / pageSize);
 }
 
 void
 PhysMem::zeroPage(Hpa page_base)
 {
-    if (!page_base.pageAligned())
-        panic("zeroPage of unaligned address %#llx",
+    if (!page_base.pageAligned() ||
+        page_base.value + pageSize > memLayout.totalBytes)
+        panic("zeroPage of invalid page %#llx",
               (unsigned long long)page_base.value);
-    for (u64 off = 0; off < pageSize; off += sizeof(u64))
-        write(page_base + off, 0);
+    words.zeroPage(page_base.value / pageSize);
 }
 
 void

@@ -15,16 +15,19 @@
 #ifndef HEV_HV_PHYS_MEM_HH
 #define HEV_HV_PHYS_MEM_HH
 
-#include <vector>
-
 #include "hv/mem_layout.hh"
+#include "support/demand_zero.hh"
 #include "support/result.hh"
 #include "support/types.hh"
 
 namespace hev::hv
 {
 
-/** Word-addressable physical memory (64-bit words, like the EPT frames). */
+/**
+ * Word-addressable physical memory (64-bit words, like the EPT frames).
+ * It is demand-zero: a fresh machine costs nothing until a page is
+ * written, and copies and comparisons visit only written pages.
+ */
 class PhysMem
 {
   public:
@@ -67,7 +70,7 @@ class PhysMem
     /** Mutable variant of pageWords(). */
     u64 *pageWordsMut(Hpa page_base);
 
-    /** Zero an entire page. */
+    /** Zero an entire page; page_base must be page aligned. */
     void zeroPage(Hpa page_base);
 
     /** Copy one page of memory; both addresses must be page aligned. */
@@ -82,7 +85,7 @@ class PhysMem
 
   private:
     MemLayout memLayout;
-    std::vector<u64> words;
+    DemandZeroWords words;
 };
 
 } // namespace hev::hv

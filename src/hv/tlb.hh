@@ -73,14 +73,34 @@ class Tlb
     u64 flushes() const { return flushCount; }
 
   private:
-    /** Key: domain in the high 32 bits, VPN in the low bits. */
-    static u64
+    /** Key: the full domain tag and the full virtual page number. */
+    struct Key
+    {
+        DomainId domain;
+        u64 vpn;
+
+        bool operator==(const Key &) const = default;
+    };
+
+    struct KeyHash
+    {
+        size_t
+        operator()(const Key &key) const
+        {
+            // Domains below 4096 hash as the plain packed word; higher
+            // domain bits are folded in rather than shifted out.
+            return std::hash<u64>{}((u64(key.domain) << 52) ^ key.vpn ^
+                                    (u64(key.domain) >> 12));
+        }
+    };
+
+    static Key
     keyOf(DomainId domain, u64 va)
     {
-        return (u64(domain) << 52) | (va >> pageShift);
+        return {domain, va >> pageShift};
     }
 
-    std::unordered_map<u64, TlbEntry> entries;
+    std::unordered_map<Key, TlbEntry, KeyHash> entries;
     mutable u64 hitCount = 0;
     mutable u64 missCount = 0;
     u64 flushCount = 0;

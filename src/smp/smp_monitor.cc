@@ -598,41 +598,30 @@ Expected<hv::EnclaveImage>
 SmpMonitor::hcEnclaveSnapshot(VcpuId v, EnclaveId id,
                               hv::SnapshotMode mode)
 {
-    Expected<hv::EnclaveImage> image = HvError::PermissionDenied;
-    std::vector<u64> vas;
-    {
-        // Exclusive: with move semantics the enclave table changes
-        // shape, and even a fork must freeze enter/exit while the
-        // residency check and the fold run.
-        ExclusiveServicingGuard guard(*this, structuralLock, v,
-                                      LockRank::Structural);
-        if (cpus[v]->arch.mode != hv::CpuMode::GuestNormal)
-            return HvError::PermissionDenied;
-        // The SMP-correct quiesce check: every vCPU in the table, not
-        // just the caller — a sibling still executing inside the
-        // enclave holds register and TLB state the image cannot carry.
-        for (VcpuId w = 0; w < vcpuCount(); ++w) {
-            if (cpus[w]->arch.mode == hv::CpuMode::GuestEnclave &&
-                cpus[w]->arch.currentEnclave == id)
-                return HvError::BadEnclaveState;
-        }
-        image = monitor().hcEnclaveSnapshot(id, mode);
-        if (!image)
-            return image;
-        vas.reserve(image->pages.size());
-        for (const hv::SealedBlob &blob : image->pages) {
-            cpus[v]->tlb.invalidatePage(id, blob.gva.value);
-            vas.push_back(blob.gva.value);
-        }
-        if (mode == hv::SnapshotMode::Move) {
-            for (auto &cpu : cpus)
-                cpu->enclaveCtx.erase(id);
-        }
+    // Exclusive: with move semantics the enclave table changes shape,
+    // and even a fork must freeze enter/exit while the residency check
+    // and the fold run.
+    ExclusiveServicingGuard guard(*this, structuralLock, v,
+                                  LockRank::Structural);
+    if (cpus[v]->arch.mode != hv::CpuMode::GuestNormal)
+        return HvError::PermissionDenied;
+    // The SMP-correct quiesce check: every vCPU in the table, not just
+    // the caller — a sibling still executing inside the enclave holds
+    // register and TLB state the image cannot carry.
+    for (VcpuId w = 0; w < vcpuCount(); ++w) {
+        if (cpus[w]->arch.mode == hv::CpuMode::GuestEnclave &&
+            cpus[w]->arch.currentEnclave == id)
+            return HvError::BadEnclaveState;
     }
-    // One vectored shootdown for the whole image fold (locks dropped
-    // first: targets may need structuralLock to ack).
-    if (!vas.empty())
-        shootdown(v, id, vas);
+    // No shootdown: TLB entries are tagged with the running domain and
+    // inserted only while resident, and every exit flushes the
+    // enclave's tag on the exiting vCPU, so with no vCPU resident no
+    // TLB holds a translation of this enclave.
+    auto image = monitor().hcEnclaveSnapshot(id, mode);
+    if (image && mode == hv::SnapshotMode::Move) {
+        for (auto &cpu : cpus)
+            cpu->enclaveCtx.erase(id);
+    }
     return image;
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "ccal/flat_state.hh"
+#include "ccal/specs.hh"
 #include "mirlight/interp.hh"
 
 namespace hev::ccal
@@ -65,6 +66,96 @@ TEST(FlatStateTest, EqualityIsStructural)
     EXPECT_EQ(a, b);
     b.writeWord(b.geo.frameBase, 1);
     EXPECT_NE(a, b);
+}
+
+TEST(FlatStateTest, ZeroFrameOfAFreshFrameKeepsEquality)
+{
+    FlatState a, b;
+    a.zeroFrame(a.frameAt(2));
+    EXPECT_EQ(a, b);
+    a.writeEntry(a.frameAt(2), 9, 0x55);
+    a.zeroFrame(a.frameAt(2));
+    EXPECT_EQ(a, b);
+}
+
+constexpr u64 foldElStart = 0x10'0000;
+
+/** Init an enclave with room for `pages` pages; -1 on failure. */
+i64
+initEnclave(FlatState &s, u64 pages)
+{
+    const spec::IntResult init =
+        spec::specHcInit(s, foldElStart, foldElStart + pages * pageSize,
+                         0x50'0000, 1, 0x8000);
+    return init.isOk ? i64(init.value) : -1;
+}
+
+TEST(FlatStateFoldTest, BatchAndFoldCopiesCompareEqual)
+{
+    FlatState pre;
+    const i64 id = initEnclave(pre, 8);
+    ASSERT_GE(id, 0);
+    ASSERT_EQ(spec::specHcAddPage(pre, id, foldElStart, 0x4000,
+                                  epcStateReg), 0);
+    std::vector<spec::SpecAddPageOp> ops;
+    for (u64 i = 1; i < 5; ++i)
+        ops.push_back({foldElStart + i * pageSize, 0x4000, epcStateReg});
+
+    FlatState batch = pre;
+    ASSERT_EQ(spec::specHcAddPagesBatch(batch, id, ops), 0);
+    FlatState fold = pre;
+    for (const spec::SpecAddPageOp &op : ops)
+        ASSERT_EQ(spec::specHcAddPage(fold, id, op.gva, op.src, op.kind), 0);
+    EXPECT_EQ(batch, fold);
+    EXPECT_EQ(batch.words, fold.words);
+    EXPECT_NE(batch.words, pre.words);
+
+    // A batch whose second element fails leaves an exact copy of pre.
+    FlatState failed = pre;
+    EXPECT_NE(spec::specHcAddPagesBatch(failed, id, {ops[0], ops[0]}), 0);
+    EXPECT_EQ(failed, pre);
+
+    // Assigning pre back over a state that touched more frames.
+    batch = pre;
+    EXPECT_EQ(batch, pre);
+    EXPECT_TRUE(spec::checkAddBatchFold(pre, id, ops).equivalent);
+}
+
+TEST(FlatStateFoldTest, MigrateCopiesCompareEqual)
+{
+    FlatState src;
+    const i64 id = initEnclave(src, 4);
+    ASSERT_GE(id, 0);
+    for (u64 i = 0; i < 4; ++i)
+        ASSERT_EQ(spec::specHcAddPage(src, id, foldElStart + i * pageSize,
+                                      0x4000,
+                                      i == 3 ? epcStateTcs : epcStateReg),
+                  0);
+    ASSERT_EQ(spec::specHcInitFinish(src, id), 0);
+    const FlatState dst;
+
+    EXPECT_TRUE(
+        spec::checkMigrateQuiescedFold(src, dst, id, false, 0x6ea5)
+            .equivalent);
+    EXPECT_TRUE(
+        spec::checkMigrateQuiescedFold(src, dst, id, true, 0x6ea5)
+            .equivalent);
+
+    // A fork leaves the source's tables as they were.
+    FlatState fork = src;
+    AbsImage img;
+    ASSERT_EQ(spec::specHcSnapshot(fork, id, false, 0x6ea5, &img), 0);
+    EXPECT_EQ(fork.words, src.words);
+
+    // Restoring the same image into two copies of one host agrees.
+    FlatState a = dst;
+    FlatState b = dst;
+    ASSERT_TRUE(spec::specHcRestoreImage(a, img).isOk);
+    ASSERT_TRUE(spec::specHcRestoreImage(b, img).isOk);
+    EXPECT_EQ(a, b);
+    EXPECT_NE(a.words, dst.words);
+    a = dst;
+    EXPECT_EQ(a, dst);
 }
 
 TEST(FlatAbsStateTest, PhysWordHandler)

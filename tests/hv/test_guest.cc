@@ -134,5 +134,64 @@ TEST_F(GuestTest, RawEntryWriteCannotTouchSecureTables)
     EXPECT_FALSE(os.writePtEntryRaw(secure_table, 0, 0x41).ok());
 }
 
+TEST_F(GuestTest, ZeroPageClearsTheWholeGuestPage)
+{
+    const Gpa page(0x6000);
+    for (u64 off = 0; off < pageSize; off += sizeof(u64))
+        ASSERT_TRUE(os.physWrite(page + off, off + 1).ok());
+    ASSERT_TRUE(os.physWrite(page + pageSize, 0x99).ok());
+    ASSERT_TRUE(os.zeroPage(page).ok());
+    for (u64 off = 0; off < pageSize; off += sizeof(u64))
+        ASSERT_EQ(*os.physRead(page + off), 0ull);
+    EXPECT_EQ(*os.physRead(page + pageSize), 0x99ull) << "neighbour zeroed";
+}
+
+TEST_F(GuestTest, ZeroPageRejectsUnalignedAndUnmappedPages)
+{
+    ASSERT_TRUE(os.physWrite(Gpa(0x6008), 5).ok());
+    EXPECT_EQ(os.zeroPage(Gpa(0x6008)).error(), HvError::NotAligned);
+    EXPECT_EQ(os.zeroPage(Gpa(0x6800)).error(), HvError::NotAligned);
+    EXPECT_EQ(*os.physRead(Gpa(0x6008)), 5ull);
+
+    const MemLayout &layout = mon.config().layout;
+    EXPECT_EQ(os.zeroPage(Gpa(layout.totalBytes)).error(),
+              HvError::NotMapped);
+    EXPECT_EQ(os.zeroPage(Gpa(layout.totalBytes + 64 * pageSize)).error(),
+              HvError::NotMapped);
+}
+
+TEST_F(GuestTest, ZeroPageNeverReachesTheSecureRegion)
+{
+    // Every page of the secure region (monitor page tables and EPC) is
+    // absent from the normal EPT, so zeroPage reaches none of it.
+    const MemLayout &layout = mon.config().layout;
+    const Hpa ept_root = mon.normalEptRoot();
+    const u64 root_entry = mon.mem().read(ept_root);
+    ASSERT_NE(root_entry, 0ull);
+    const u64 epc_word = 0x5eed;
+    const Hpa epc = layout.epcRange().start;
+    mon.mem().write(epc, epc_word);
+    for (u64 gpa = layout.secureBase(); gpa < layout.totalBytes;
+         gpa += pageSize)
+        ASSERT_EQ(os.zeroPage(Gpa(gpa)).error(), HvError::NotMapped)
+            << std::hex << gpa;
+    EXPECT_EQ(mon.mem().read(ept_root), root_entry);
+    EXPECT_EQ(mon.mem().read(epc), epc_word);
+}
+
+TEST(GuestHugeEptTest, ZeroPageThroughAHugeNormalEpt)
+{
+    MonitorConfig cfg = smallConfig();
+    cfg.hugeNormalEpt = true;
+    Monitor mon(cfg);
+    PrimaryOs os(mon);
+    const Gpa page(0x20'3000);
+    ASSERT_TRUE(os.physWrite(page + 0x10, 3).ok());
+    ASSERT_TRUE(os.zeroPage(page).ok());
+    EXPECT_EQ(*os.physRead(page + 0x10), 0ull);
+    EXPECT_EQ(os.zeroPage(Gpa(cfg.layout.secureBase())).error(),
+              HvError::NotMapped);
+}
+
 } // namespace
 } // namespace hev::hv

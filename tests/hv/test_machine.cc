@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "hv/machine.hh"
 
 namespace hev::hv
@@ -31,6 +33,35 @@ TEST(MachineTest, KernelIdentityMappingWorks)
     ASSERT_TRUE(load.ok());
     EXPECT_EQ(*load, 0x77ull);
     EXPECT_EQ(machine.monitor().mem().read(Hpa(0x9'0000)), 0x77ull);
+}
+
+TEST(MachineTest, KernelGptMatchesPerPageReference)
+{
+    // The constructor maps with a leaf cursor (one walk per 2 MiB
+    // span); a reference built with one gptMap walk per page must hold
+    // the same root, the same allocations and byte-identical memory.
+    const MonitorConfig cfg = smallConfig();
+    Machine machine(cfg);
+
+    Monitor mon(cfg);
+    PrimaryOs os(mon);
+    auto root = os.createPageTable();
+    ASSERT_TRUE(root.ok());
+    const u64 normal_bytes = cfg.layout.normalRange().size();
+    ASSERT_GT(normal_bytes, 2 * entriesPerTable * pageSize);
+    for (u64 addr = 0; addr < normal_bytes; addr += pageSize)
+        ASSERT_TRUE(
+            os.gptMap(*root, addr, Gpa(addr), PteFlags::userRw()).ok());
+
+    EXPECT_EQ(machine.kernelGptRoot().value, root->value);
+    EXPECT_EQ(machine.os().usedPages(), os.usedPages());
+    const PhysMem &got = machine.monitor().mem();
+    const PhysMem &want = mon.mem();
+    for (u64 page = 0; page < cfg.layout.totalBytes; page += pageSize)
+        ASSERT_EQ(std::memcmp(got.pageWords(Hpa(page)),
+                              want.pageWords(Hpa(page)), pageSize),
+                  0)
+            << "page " << std::hex << page;
 }
 
 TEST(MachineTest, KernelCannotTouchSecureMemory)

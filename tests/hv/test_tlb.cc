@@ -145,5 +145,49 @@ TEST(TlbTest, FlushDomainOnEmptyDomainCountsNoFlushWork)
     EXPECT_TRUE(tlb.lookup(2, 0x1000).has_value());
 }
 
+TEST(TlbTest, DomainTagsAboveTwelveBitsDoNotAlias)
+{
+    // Enclave ids are never reused, so a long-running host passes 4096.
+    // 8193 and 4097 agree in their low 12 bits: a tag that keeps only
+    // those would let one enclave hit the other's translation.
+    Tlb tlb;
+    tlb.insert(4097, 0x40'0000, {0x9000, true});
+    EXPECT_FALSE(tlb.lookup(8193, 0x40'0000).has_value());
+    EXPECT_FALSE(tlb.lookup(1, 0x40'0000).has_value());
+    tlb.insert(8193, 0x40'0000, {0xa000, false});
+    EXPECT_EQ(tlb.countDomain(4097), 1ull);
+    EXPECT_EQ(tlb.countDomain(8193), 1ull);
+
+    tlb.flushDomain(4097);
+    EXPECT_FALSE(tlb.lookup(4097, 0x40'0000).has_value());
+    EXPECT_EQ(tlb.countDomain(4097), 0ull);
+    auto hit = tlb.lookup(8193, 0x40'0000);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->hpaPage, 0xa000ull);
+}
+
+TEST(TlbTest, ForEachDecodesFullDomainAndAddress)
+{
+    // The largest tag and a VA whose page number needs all 52 bits.
+    Tlb tlb;
+    const DomainId domain = ~DomainId(0);
+    const u64 va = ~0ull & ~(pageSize - 1);
+    tlb.insert(domain, va, {0xb000, true});
+    tlb.insert(4096, 0x1000, {0xc000, false});
+    u64 visited = 0;
+    tlb.forEach([&](DomainId d, u64 va_page, const TlbEntry &entry) {
+        ++visited;
+        if (d == domain) {
+            EXPECT_EQ(va_page, va);
+            EXPECT_EQ(entry.hpaPage, 0xb000ull);
+        } else {
+            EXPECT_EQ(d, 4096u);
+            EXPECT_EQ(va_page, 0x1000ull);
+        }
+    });
+    EXPECT_EQ(visited, 2ull);
+    EXPECT_EQ(tlb.countDomain(0), 0ull);
+}
+
 } // namespace
 } // namespace hev::hv

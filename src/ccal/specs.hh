@@ -309,18 +309,17 @@ struct BatchEquivalence
 };
 
 /**
- * The batch≡fold theorem for add_pages, checked executably from `pre`:
- *  - fold succeeds  => batch succeeds and the states are equal;
- *  - fold fails at element k with error e => batch fails with exactly
- *    e and leaves the state equal to `pre` (all-or-nothing);
- *  - on success, refinement R holds of the enclave's lifted page
- *    tables, and the tree-level batch (treeApplyBatch of the implied
- *    gpt mappings) lands on the lift of the flat batch result.
+ * The tree-lift half of batch≡fold for add_pages, checked executably
+ * from `pre`: when the flat batch succeeds, refinement R holds of the
+ * enclave's lifted page tables, and the tree-level batch
+ * (treeApplyBatch of the implied gpt mappings) applied to the lift of
+ * the pre GPT lands on the lift of the flat batch result.  The flat
+ * half needs no checker: specHcAddPagesBatch *is* the fold.
  */
 BatchEquivalence checkAddBatchFold(const FlatState &pre, i64 id,
                                    const std::vector<SpecAddPageOp> &ops);
 
-/** The batch≡fold theorem for evict_pages; same obligations. */
+/** The tree-lift half of batch≡fold for evict_pages; same obligations. */
 BatchEquivalence checkEvictBatchFold(const FlatState &pre, i64 id,
                                      const std::vector<u64> &gvas);
 

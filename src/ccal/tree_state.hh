@@ -130,7 +130,8 @@ struct TreeBatchOp
  * All-or-nothing fold of treeMap/treeUnmap: applies every op to a
  * clone and commits only when all succeed; otherwise returns the
  * fold's first error and leaves `t` untouched.  The tree-level image
- * of the flat batch specs, used by the batch≡fold checkers.
+ * of the flat batch specs, used by the batch lift checkers and the
+ * fuzz executor's GPT mirror.
  */
 i64 treeApplyBatch(TreeState &t, const std::vector<TreeBatchOp> &ops);
 

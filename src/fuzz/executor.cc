@@ -9,6 +9,7 @@
 #include "ccal/checker.hh"
 #include "ccal/specs.hh"
 #include "ccal/tree_state.hh"
+#include "fuzz/error_class.hh"
 #include "fuzz/forensics.hh"
 #include "fuzz/smp_executor.hh"
 #include "hv/hv_invariants.hh"
@@ -16,6 +17,7 @@
 #include "migrate/migrate.hh"
 #include "obs/flight.hh"
 #include "sec/invariants.hh"
+#include "support/hash.hh"
 
 namespace hev::fuzz
 {
@@ -41,100 +43,6 @@ uv(u64 v)
     return mir::Value::intVal(i64(v));
 }
 
-/**
- * Coarse error classes shared by the concrete monitor and the specs
- * (same table as tests/integration/test_differential.cc), plus Skipped
- * for ops the executor declined to run (resource guard, wrong mode).
- */
-enum class Rc : u8
-{
-    Ok = 0,
-    Invalid,
-    Isolation,
-    Conflict,
-    Resource,
-    NoSuch,
-    Skipped,
-    SealAuth,     //!< sealed-blob MAC / ownership rejection
-    SealRollback, //!< sealed-blob anti-rollback rejection
-};
-
-constexpr u32 rcCount = 9;
-
-Rc
-classifyHv(HvError error)
-{
-    switch (error) {
-      case HvError::None: return Rc::Ok;
-      case HvError::InvalidParam:
-      case HvError::NotAligned: return Rc::Invalid;
-      case HvError::IsolationViolation:
-      case HvError::PermissionDenied: return Rc::Isolation;
-      case HvError::AlreadyMapped:
-      case HvError::BadEnclaveState:
-      case HvError::EpcmConflict: return Rc::Conflict;
-      case HvError::OutOfMemory:
-      case HvError::OutOfEpc: return Rc::Resource;
-      case HvError::NoSuchEnclave:
-      case HvError::NotMapped: return Rc::NoSuch;
-      case HvError::SealAuthFailed:
-      case HvError::ImageAuthFailed: return Rc::SealAuth;
-      case HvError::SealRollback:
-      case HvError::ImageRollback: return Rc::SealRollback;
-      case HvError::ImageTruncated: return Rc::Invalid;
-      // Exhaustive on purpose: tools/hev_lint.py rejects any HvError
-      // variant without an explicit class, so a new error cannot
-      // silently fall into a catch-all and dodge the differential
-      // comparison against the spec's coarse codes.
-      case HvError::Unsupported: return Rc::Invalid;
-      // Invalid (not Conflict): the flat spec has no shootdown window,
-      // so its reload-during-batch verdict lands in the same coarse
-      // class the executor's skip-compare logic expects.
-      case HvError::ShootdownInFlight: return Rc::Invalid;
-    }
-    return Rc::Invalid;
-}
-
-Rc
-classifySpec(i64 code)
-{
-    switch (code) {
-      case 0: return Rc::Ok;
-      case errInvalidParam:
-      case errNotAligned: return Rc::Invalid;
-      case errIsolation: return Rc::Isolation;
-      case errAlreadyMapped:
-      case errBadState: return Rc::Conflict;
-      case errOutOfMemory:
-      case errOutOfEpc: return Rc::Resource;
-      case errNoSuchEnclave:
-      case errNotMapped: return Rc::NoSuch;
-      case errSealAuth:
-      case errImageAuth: return Rc::SealAuth;
-      case errSealRollback:
-      case errImageRollback: return Rc::SealRollback;
-      case errImageTruncated: return Rc::Invalid;
-      default: return Rc::Invalid;
-    }
-}
-
-const char *
-rcName(Rc rc)
-{
-    switch (rc) {
-      case Rc::Ok: return "ok";
-      case Rc::Invalid: return "invalid";
-      case Rc::Isolation: return "isolation";
-      case Rc::Conflict: return "conflict";
-      case Rc::Resource: return "resource";
-      case Rc::NoSuch: return "no-such";
-      case Rc::Skipped: return "skipped";
-      case Rc::SealAuth: return "seal-auth";
-      case Rc::SealRollback: return "seal-rollback";
-    }
-    return "?";
-}
-
 /** The abstract geometry matching an hv layout (same addresses). */
 Geometry
 geometryOf(const hv::MonitorConfig &cfg)
@@ -148,17 +56,22 @@ geometryOf(const hv::MonitorConfig &cfg)
     return geo;
 }
 
-constexpr u64 fnvOffset = 0xcbf29ce484222325ull;
-constexpr u64 fnvPrime = 0x100000001b3ull;
-
-u64
-fnvStep(u64 hash, u64 value)
+/**
+ * Resource guard: near the allocator frontier hv and spec diverge
+ * legitimately (the monitor's normal EPT costs a few frames the
+ * abstract machine does not model), so allocating ops back off while
+ * either side of a host has fewer than 16 free frames.
+ */
+bool
+lowOnFrames(const Machine &host, const FlatState &abs)
 {
-    for (int i = 0; i < 8; ++i) {
-        hash ^= (value >> (8 * i)) & 0xff;
-        hash *= fnvPrime;
-    }
-    return hash;
+    const auto &fa = host.monitor().ptAlloc();
+    if (fa.totalFrames() - fa.usedFrames() < 16)
+        return true;
+    u64 free_spec = 0;
+    for (const bool used : abs.allocated)
+        free_spec += used ? 0 : 1;
+    return free_spec < 16;
 }
 
 /** Everything needed to run one trace; fresh per execution. */
@@ -181,7 +94,7 @@ class Executor
     run(const Trace &trace)
     {
         ExecResult result;
-        u64 signature = fnvOffset;
+        u64 signature = fnvOffsetBasis;
         const u16 runTag = obs::newFlightRunTag();
         for (u64 i = 0; i < trace.ops.size() && i < opts.maxOps; ++i) {
             const Op &op = trace.ops[i];
@@ -202,8 +115,8 @@ class Executor
                 0x4000 +
                 u32(machine.monitor().liveEnclaves() % 8) * 32 +
                 u32(machine.monitor().ptAlloc().usedFrames() / 16));
-            signature = fnvStep(signature, u64(op.kind));
-            signature = fnvStep(signature, u64(lastRc));
+            signature = fnvBytesStep(signature, u64(op.kind));
+            signature = fnvBytesStep(signature, u64(lastRc));
 
             if (failure) {
                 result.divergence = true;
@@ -230,7 +143,7 @@ class Executor
                 break;
             }
         }
-        signature = fnvStep(signature, result.divergence ? 1 : 0);
+        signature = fnvBytesStep(signature, result.divergence ? 1 : 0);
         result.signature = signature;
         result.features.assign(featureSet.begin(), featureSet.end());
         return result;
@@ -274,7 +187,7 @@ class Executor
     Fail
     opHcInit(const Op &op)
     {
-        if (lowOnFrames())
+        if (lowOnFrames(machine, specState))
             return std::nullopt;
         u64 el_start = 0x10'0000ull * (1 + op.a % 4);
         const u64 el_pages = 1 + op.b % 4;
@@ -322,23 +235,9 @@ class Executor
         const IntResult spec_id = specHcInit(
             specState, el_start, el_end, mbuf_gva, mbuf_pages, backing);
 
-        if (hv_id.ok() != spec_id.isOk) {
-            std::ostringstream msg;
-            msg << "init verdicts differ: hv="
-                << (hv_id.ok() ? "ok" : hvErrorName(hv_id.error()))
-                << " spec="
-                << (spec_id.isOk ? i64(0) : spec_id.errCode);
-            return msg.str();
-        }
-        if (!hv_id.ok() &&
-            classifyHv(hv_id.error()) != classifySpec(spec_id.errCode)) {
-            std::ostringstream msg;
-            msg << "init error classes differ: hv="
-                << hvErrorName(hv_id.error())
-                << " spec=" << spec_id.errCode;
-            return msg.str();
-        }
-        lastRc = hv_id.ok() ? Rc::Ok : classifyHv(hv_id.error());
+        if (auto f = verdictsAgree("init", hv_id.error(),
+                                   specCode(spec_id)))
+            return f;
 
         if (auto f = mirAgree("hc_init", harness14(), "hc_init",
                               {uv(el_start), uv(el_end), uv(mbuf_gva),
@@ -358,7 +257,7 @@ class Executor
                                    abs.gptHandle))
                 return f;
         }
-        if (auto f = invariantsAgree("init"))
+        if (auto f = invariantsAgree("init", machine, specState))
             return f;
         return epcmAgree("init");
     }
@@ -366,25 +265,14 @@ class Executor
     Fail
     opHcAddPage(const Op &op)
     {
-        if (lowOnFrames())
+        if (lowOnFrames(machine, specState))
             return std::nullopt;
         EnclaveId hv_id;
         i64 spec_id;
         pickEnclave(op.a, hv_id, spec_id);
         const u64 twist = op.c % 8;
 
-        u64 gva;
-        const auto abs_it = specState.enclaves.find(spec_id);
-        if (abs_it != specState.enclaves.end() &&
-            abs_it->second.state != enclStateDead) {
-            const AbsEnclave &abs = abs_it->second;
-            const u64 el_pages = (abs.elEnd - abs.elStart) / pageSize;
-            // +2 slots reach exactly elEnd (the off-by-one boundary)
-            // and one page beyond.
-            gva = abs.elStart + (op.b % (el_pages + 2)) * pageSize;
-        } else {
-            gva = 0x10'0000 + (op.b % 8) * pageSize;
-        }
+        u64 gva = batchGva(spec_id, op.b, 0);
         if (twist == 6)
             gva += 0x100; // misaligned
         const u64 src = twist == 7 ? opts.monitor.layout.secureBase()
@@ -398,35 +286,14 @@ class Executor
         const i64 rc =
             specHcAddPage(specState, spec_id, gva, src, kind_code);
 
-        if (auto f = verdictsAgree("add_page", st, rc))
+        if (auto f = verdictsAgree("add_page", st.error(), rc))
             return f;
         if (auto f = mirAgree("hc_add_page", harness14(), "hc_add_page",
                               {iv(spec_id), uv(gva), uv(src),
                                iv(kind_code)},
                               iv(rc)))
             return f;
-
-        if (st.ok()) {
-            const AbsEnclave &abs = specState.enclaves.at(spec_id);
-            const u64 gpa = specState.geo.epcGpaBase +
-                            (abs.addedPages - 1) * pageSize;
-            u64 flags = pteRwFlags;
-            if (opts.treeSkewBug)
-                flags &= ~pteFlagW;
-            TreeState &tree = gptTrees.at(hv_id);
-            const i64 tree_rc = treeMap(tree, gva, gpa, flags);
-            if (tree_rc != 0) {
-                std::ostringstream msg;
-                msg << "tree map failed (rc " << tree_rc
-                    << ") where the flat spec succeeded";
-                return msg.str();
-            }
-            if (auto f = treeAgree("add_page gpt", tree, abs.gptHandle))
-                return f;
-        }
-        if (auto f = invariantsAgree("add_page"))
-            return f;
-        return epcmAgree("add_page");
+        return addPagesAgree("add_page", hv_id, spec_id, {gva});
     }
 
     Fail
@@ -437,12 +304,12 @@ class Executor
         pickEnclave(op.a, hv_id, spec_id);
         auto st = machine.monitor().hcEnclaveInitFinish(hv_id);
         const i64 rc = specHcInitFinish(specState, spec_id);
-        if (auto f = verdictsAgree("init_finish", st, rc))
+        if (auto f = verdictsAgree("init_finish", st.error(), rc))
             return f;
         if (auto f = mirAgree("hc_init_finish", harness14(),
                               "hc_init_finish", {iv(spec_id)}, iv(rc)))
             return f;
-        return invariantsAgree("init_finish");
+        return invariantsAgree("init_finish", machine, specState);
     }
 
     Fail
@@ -459,12 +326,12 @@ class Executor
             if (st.ok())
                 return "hv removed the enclave the vCPU is executing in";
             lastRc = classifyHv(st.error());
-            return invariantsAgree("remove-active");
+            return invariantsAgree("remove-active", machine, specState);
         }
 
         auto st = machine.monitor().hcEnclaveRemove(hv_id);
         const i64 rc = specHcRemove(specState, spec_id);
-        if (auto f = verdictsAgree("remove", st, rc))
+        if (auto f = verdictsAgree("remove", st.error(), rc))
             return f;
         if (auto f = mirAgree("hc_remove", harness14(), "hc_remove",
                               {iv(spec_id)}, iv(rc)))
@@ -473,7 +340,7 @@ class Executor
             removesHappened = true;
             gptTrees.erase(hv_id);
         }
-        return invariantsAgree("remove");
+        return invariantsAgree("remove", machine, specState);
     }
 
     Fail
@@ -484,17 +351,7 @@ class Executor
         EnclaveId hv_id;
         i64 spec_id;
         pickEnclave(op.a, hv_id, spec_id);
-
-        u64 gva;
-        const auto abs_it = specState.enclaves.find(spec_id);
-        if (abs_it != specState.enclaves.end() &&
-            abs_it->second.state != enclStateDead) {
-            const AbsEnclave &abs = abs_it->second;
-            const u64 el_pages = (abs.elEnd - abs.elStart) / pageSize;
-            gva = abs.elStart + (op.b % (el_pages + 2)) * pageSize;
-        } else {
-            gva = 0x10'0000 + (op.b % 8) * pageSize;
-        }
+        const u64 gva = batchGva(spec_id, op.b, 0);
 
         auto blob = machine.monitor().hcEnclaveEvictPage(hv_id, Gva(gva));
         const IntResult r = specHcEvictPage(specState, spec_id, gva);
@@ -504,53 +361,13 @@ class Executor
             // the *next* modeled call still holds.
             (void)specHcEvictPage(mirFlat, spec_id, gva);
         }
-
-        if (blob.ok() != r.isOk) {
-            std::ostringstream msg;
-            msg << "evict verdicts differ: hv="
-                << (blob.ok() ? "ok" : hvErrorName(blob.error()))
-                << " spec=" << (r.isOk ? i64(0) : r.errCode);
-            return msg.str();
-        }
-        if (!blob.ok() &&
-            classifyHv(blob.error()) != classifySpec(r.errCode)) {
-            std::ostringstream msg;
-            msg << "evict error classes differ: hv="
-                << hvErrorName(blob.error()) << " ("
-                << rcName(classifyHv(blob.error())) << ") vs spec "
-                << r.errCode << " (" << rcName(classifySpec(r.errCode))
-                << ")";
-            return msg.str();
-        }
-        lastRc = blob.ok() ? Rc::Ok : classifyHv(blob.error());
-
-        if (blob.ok()) {
-            if (blob->version != r.value) {
-                std::ostringstream msg;
-                msg << "evict version skew: hv " << blob->version
-                    << " vs spec " << r.value;
-                return msg.str();
-            }
-            // Blob history is append-only, like real OS custody: stale
-            // versions stay presentable, which is what gives the
-            // anti-rollback check something to reject.
-            sealedBlobs.push_back({*blob, spec_id, gva, r.value});
-            TreeState &tree = gptTrees.at(hv_id);
-            const i64 tree_rc = treeUnmap(tree, gva);
-            if (tree_rc != 0) {
-                std::ostringstream msg;
-                msg << "tree unmap failed (rc " << tree_rc
-                    << ") where the flat spec evicted";
-                return msg.str();
-            }
-            if (auto f = treeAgree(
-                    "evict gpt", tree,
-                    specState.enclaves.at(spec_id).gptHandle))
-                return f;
-        }
-        if (auto f = invariantsAgree("evict_page"))
+        if (auto f = verdictsAgree("evict_page", blob.error(), specCode(r)))
             return f;
-        return epcmAgree("evict_page");
+        std::vector<hv::SealedBlob> blobs;
+        if (blob.ok())
+            blobs.push_back(std::move(*blob));
+        return evictPagesAgree("evict_page", hv_id, spec_id, {gva}, blobs,
+                               {r.value});
     }
 
     Fail
@@ -558,7 +375,7 @@ class Executor
     {
         if (inEnclave || sealedBlobs.empty())
             return std::nullopt;
-        if (lowOnFrames())
+        if (lowOnFrames(machine, specState))
             return std::nullopt; // reload re-maps and may need frames
         EnclaveId hv_id;
         i64 spec_id;
@@ -573,7 +390,7 @@ class Executor
         if (opts.mirLockstep)
             (void)specHcReloadPage(mirFlat, spec_id, pair.specOwner,
                                    pair.gva, pair.version);
-        if (auto f = verdictsAgree("reload_page", st, rc))
+        if (auto f = verdictsAgree("reload_page", st.error(), rc))
             return f;
 
         if (st.ok()) {
@@ -617,13 +434,17 @@ class Executor
                 }
             }
         }
-        if (auto f = invariantsAgree("reload_page"))
+        if (auto f = invariantsAgree("reload_page", machine, specState))
             return f;
         return epcmAgree("reload_page");
     }
 
-    /** Element gvas of a batch: a contiguous selector window so that a
-     *  batch of 1 decodes exactly like the single-op form. */
+    /**
+     * Element gvas of a batch: a contiguous selector window, so a batch
+     * of 1 decodes exactly like the single-op form (which uses it too).
+     * Inside a live enclave, +2 slots reach exactly elEnd (the
+     * off-by-one boundary) and one page beyond.
+     */
     u64
     batchGva(i64 spec_id, u64 b_sel, u64 index) const
     {
@@ -643,7 +464,7 @@ class Executor
     {
         if (inEnclave)
             return std::nullopt; // management hypercall, normal mode only
-        if (lowOnFrames())
+        if (lowOnFrames(machine, specState))
             return std::nullopt;
         EnclaveId hv_id;
         i64 spec_id;
@@ -671,14 +492,6 @@ class Executor
                 {gva, src, el_tcs ? epcStateTcs : epcStateReg});
         }
 
-        // The batch≡fold theorem, checked from the live abstract state
-        // before either side moves.
-        const BatchEquivalence eq =
-            checkAddBatchFold(specState, spec_id, spec_ops);
-        if (!eq.equivalent)
-            return "add_pages_batch batch/fold equivalence broken: " +
-                   eq.detail;
-
         auto st =
             machine.monitor().hcEnclaveAddPagesBatch(hv_id, reqs);
         const i64 rc =
@@ -688,37 +501,12 @@ class Executor
             // to the MIR shadow state, as evict does.
             (void)specHcAddPagesBatch(mirFlat, spec_id, spec_ops);
         }
-        if (auto f = verdictsAgree("add_pages_batch", st, rc))
+        if (auto f = verdictsAgree("add_pages_batch", st.error(), rc))
             return f;
-
-        if (st.ok()) {
-            const AbsEnclave &abs = specState.enclaves.at(spec_id);
-            u64 flags = pteRwFlags;
-            if (opts.treeSkewBug)
-                flags &= ~pteFlagW;
-            std::vector<TreeBatchOp> tree_ops;
-            for (u64 i = 0; i < spec_ops.size(); ++i)
-                tree_ops.push_back(
-                    {true, spec_ops[i].gva,
-                     specState.geo.epcGpaBase +
-                         (abs.addedPages - spec_ops.size() + i) *
-                             pageSize,
-                     flags});
-            TreeState &tree = gptTrees.at(hv_id);
-            const i64 tree_rc = treeApplyBatch(tree, tree_ops);
-            if (tree_rc != 0) {
-                std::ostringstream msg;
-                msg << "tree batch map failed (rc " << tree_rc
-                    << ") where the flat spec succeeded";
-                return msg.str();
-            }
-            if (auto f = treeAgree("add_pages_batch gpt", tree,
-                                   abs.gptHandle))
-                return f;
-        }
-        if (auto f = invariantsAgree("add_pages_batch"))
-            return f;
-        return epcmAgree("add_pages_batch");
+        std::vector<u64> gvas;
+        for (const SpecAddPageOp &spec_op : spec_ops)
+            gvas.push_back(spec_op.gva);
+        return addPagesAgree("add_pages_batch", hv_id, spec_id, gvas);
     }
 
     Fail
@@ -739,12 +527,6 @@ class Executor
             raw.push_back(gva);
         }
 
-        const BatchEquivalence eq =
-            checkEvictBatchFold(specState, spec_id, raw);
-        if (!eq.equivalent)
-            return "evict_pages_batch batch/fold equivalence broken: " +
-                   eq.detail;
-
         auto blobs =
             machine.monitor().hcEnclaveEvictPagesBatch(hv_id, gvas);
         std::vector<u64> versions;
@@ -753,59 +535,14 @@ class Executor
         if (opts.mirLockstep)
             (void)specHcEvictPagesBatch(mirFlat, spec_id, raw);
 
-        if (blobs.ok() != r.isOk) {
-            std::ostringstream msg;
-            msg << "evict batch verdicts differ: hv="
-                << (blobs.ok() ? "ok" : hvErrorName(blobs.error()))
-                << " spec=" << (r.isOk ? i64(0) : r.errCode);
-            return msg.str();
-        }
-        if (!blobs.ok() &&
-            classifyHv(blobs.error()) != classifySpec(r.errCode)) {
-            std::ostringstream msg;
-            msg << "evict batch error classes differ: hv="
-                << hvErrorName(blobs.error()) << " ("
-                << rcName(classifyHv(blobs.error())) << ") vs spec "
-                << r.errCode << " (" << rcName(classifySpec(r.errCode))
-                << ")";
-            return msg.str();
-        }
-        lastRc = blobs.ok() ? Rc::Ok : classifyHv(blobs.error());
-
-        if (blobs.ok()) {
-            if (blobs->size() != raw.size() ||
-                versions.size() != raw.size())
-                return "evict batch arity skew between hv and spec";
-            for (u64 i = 0; i < raw.size(); ++i) {
-                if ((*blobs)[i].version != versions[i]) {
-                    std::ostringstream msg;
-                    msg << "evict batch version skew at element " << i
-                        << ": hv " << (*blobs)[i].version << " vs spec "
-                        << versions[i];
-                    return msg.str();
-                }
-                sealedBlobs.push_back(
-                    {(*blobs)[i], spec_id, raw[i], versions[i]});
-            }
-            std::vector<TreeBatchOp> tree_ops;
-            for (const u64 gva : raw)
-                tree_ops.push_back({false, gva, 0, 0});
-            TreeState &tree = gptTrees.at(hv_id);
-            const i64 tree_rc = treeApplyBatch(tree, tree_ops);
-            if (tree_rc != 0) {
-                std::ostringstream msg;
-                msg << "tree batch unmap failed (rc " << tree_rc
-                    << ") where the flat spec evicted";
-                return msg.str();
-            }
-            if (auto f = treeAgree(
-                    "evict_pages_batch gpt", tree,
-                    specState.enclaves.at(spec_id).gptHandle))
-                return f;
-        }
-        if (auto f = invariantsAgree("evict_pages_batch"))
+        if (auto f = verdictsAgree("evict_pages_batch", blobs.error(),
+                                   specCode(r)))
             return f;
-        return epcmAgree("evict_pages_batch");
+        std::vector<hv::SealedBlob> sealed;
+        if (blobs.ok())
+            sealed = std::move(*blobs);
+        return evictPagesAgree("evict_pages_batch", hv_id, spec_id, raw,
+                               sealed, versions);
     }
 
     Fail
@@ -827,7 +564,7 @@ class Executor
                 return "hv snapshotted the enclave the vCPU is "
                        "executing in";
             lastRc = classifyHv(image.error());
-            return invariantsAgree("snapshot-active");
+            return invariantsAgree("snapshot-active", machine, specState);
         }
 
         auto image = machine.monitor().hcEnclaveSnapshot(hv_id, mode);
@@ -855,22 +592,8 @@ class Executor
             (void)specHcSnapshot(mirFlat, spec_id, move, meas, nullptr);
         }
 
-        if (image.ok() != (rc == 0)) {
-            std::ostringstream msg;
-            msg << "snapshot verdicts differ: hv="
-                << (image.ok() ? "ok" : hvErrorName(image.error()))
-                << " spec=" << rc;
-            return msg.str();
-        }
-        if (!image.ok() && classifyHv(image.error()) != classifySpec(rc)) {
-            std::ostringstream msg;
-            msg << "snapshot error classes differ: hv="
-                << hvErrorName(image.error()) << " ("
-                << rcName(classifyHv(image.error())) << ") vs spec "
-                << rc << " (" << rcName(classifySpec(rc)) << ")";
-            return msg.str();
-        }
-        lastRc = image.ok() ? Rc::Ok : classifyHv(image.error());
+        if (auto f = verdictsAgree("snapshot", image.error(), rc))
+            return f;
 
         if (image.ok()) {
             // Image shape agreement: same pages, same gva order, the
@@ -908,7 +631,7 @@ class Executor
                 return f;
             }
         }
-        if (auto f = invariantsAgree("snapshot"))
+        if (auto f = invariantsAgree("snapshot", machine, specState))
             return f;
         return epcmAgree("snapshot");
     }
@@ -919,7 +642,7 @@ class Executor
         if (images.empty())
             return std::nullopt;
         ensureTwin();
-        if (twinLowOnFrames())
+        if (lowOnFrames(*twin, twinState))
             return std::nullopt;
         const ImagePair &pair = images[op.a % images.size()];
         hv::EnclaveImage hv_img = pair.hvImage;
@@ -949,24 +672,9 @@ class Executor
         auto twin_id = twin->monitor().hcEnclaveRestoreImage(hv_img);
         const IntResult rc = specHcRestoreImage(twinState, abs_img);
 
-        if (twin_id.ok() != rc.isOk) {
-            std::ostringstream msg;
-            msg << "restore verdicts differ: hv="
-                << (twin_id.ok() ? "ok" : hvErrorName(twin_id.error()))
-                << " spec=" << (rc.isOk ? i64(0) : rc.errCode);
-            return msg.str();
-        }
-        if (!twin_id.ok() &&
-            classifyHv(twin_id.error()) != classifySpec(rc.errCode)) {
-            std::ostringstream msg;
-            msg << "restore error classes differ: hv="
-                << hvErrorName(twin_id.error()) << " ("
-                << rcName(classifyHv(twin_id.error())) << ") vs spec "
-                << rc.errCode << " ("
-                << rcName(classifySpec(rc.errCode)) << ")";
-            return msg.str();
-        }
-        lastRc = twin_id.ok() ? Rc::Ok : classifyHv(twin_id.error());
+        if (auto f = verdictsAgree("restore", twin_id.error(),
+                                   specCode(rc)))
+            return f;
 
         if (twin_id.ok()) {
             // Only restores create enclaves on the twin, so ids stay
@@ -1006,7 +714,7 @@ class Executor
                 }
             }
         }
-        return twinInvariants("restore_image");
+        return invariantsAgree("restore_image", *twin, twinState);
     }
 
     Fail
@@ -1014,13 +722,13 @@ class Executor
     {
         if (inEnclave)
             return std::nullopt; // the engine quiesces the source itself
-        if (lowOnFrames())
+        if (lowOnFrames(machine, specState))
             return std::nullopt;
         EnclaveId hv_id;
         i64 spec_id;
         pickEnclave(op.a, hv_id, spec_id);
         ensureTwin();
-        if (twinLowOnFrames())
+        if (lowOnFrames(*twin, twinState))
             return std::nullopt;
 
         const hv::Enclave *enc = machine.monitor().findEnclave(hv_id);
@@ -1146,9 +854,9 @@ class Executor
                 return msg.str();
             }
         }
-        if (auto f = invariantsAgree("migrate_live"))
+        if (auto f = invariantsAgree("migrate_live", machine, specState))
             return f;
-        if (auto f = twinInvariants("migrate_live"))
+        if (auto f = invariantsAgree("migrate_live", *twin, twinState))
             return f;
         return epcmAgree("migrate_live");
     }
@@ -1169,42 +877,12 @@ class Executor
         }
     }
 
-    /** Invariants of the twin host, both concrete and abstract. */
-    Fail
-    twinInvariants(const char *where)
-    {
-        const auto hv_viol =
-            hv::checkMonitorInvariants(twin->monitor());
-        if (!hv_viol.empty())
-            return std::string(where) +
-                   ": twin monitor invariant broken: " + hv_viol.front();
-        const auto spec_viol = sec::checkInvariants(twinState);
-        if (!spec_viol.empty())
-            return std::string(where) +
-                   ": twin abstract invariant broken: " +
-                   spec_viol.front().detail;
-        return std::nullopt;
-    }
-
     /** The restore/migration target host, created on first use. */
     void
     ensureTwin()
     {
         if (!twin)
             twin = std::make_unique<Machine>(opts.monitor);
-    }
-
-    /** The twin-side analogue of lowOnFrames (same model gap). */
-    bool
-    twinLowOnFrames() const
-    {
-        const auto &fa = twin->monitor().ptAlloc();
-        if (fa.totalFrames() - fa.usedFrames() < 16)
-            return true;
-        u64 free_spec = 0;
-        for (const bool used : twinState.allocated)
-            free_spec += used ? 0 : 1;
-        return free_spec < 16;
     }
 
     Fail
@@ -1232,7 +910,7 @@ class Executor
             inEnclave = true;
             curEnclave = hv_id;
         }
-        return invariantsAgree("enter");
+        return invariantsAgree("enter", machine, specState);
     }
 
     Fail
@@ -1251,7 +929,7 @@ class Executor
             inEnclave = false;
             curEnclave = invalidEnclave;
         }
-        return invariantsAgree("exit");
+        return invariantsAgree("exit", machine, specState);
     }
 
     /// @}
@@ -1326,7 +1004,7 @@ class Executor
                     is_write ? "store" : "load", va, walk, sq))
                 return f;
         }
-        return invariantsAgree("mem");
+        return invariantsAgree("mem", machine, specState);
     }
 
     Fail
@@ -1341,7 +1019,7 @@ class Executor
         // must die.
         (void)machine.monitor().guestSetGptRoot(machine.vcpu(),
                                                 machine.vcpu().gptRoot);
-        return invariantsAgree("os_unmap");
+        return invariantsAgree("os_unmap", machine, specState);
     }
 
     Fail
@@ -1355,7 +1033,7 @@ class Executor
         lastRc = st.ok() ? Rc::Ok : classifyHv(st.error());
         (void)machine.monitor().guestSetGptRoot(machine.vcpu(),
                                                 machine.vcpu().gptRoot);
-        return invariantsAgree("os_map");
+        return invariantsAgree("os_map", machine, specState);
     }
 
     Fail
@@ -1412,7 +1090,7 @@ class Executor
     Fail
     opLayerMap(const Op &op)
     {
-        if (lowOnFrames())
+        if (lowOnFrames(machine, specState))
             return std::nullopt;
         if (auto f = ensureScratch())
             return f;
@@ -1448,7 +1126,7 @@ class Executor
     Fail
     opLayerUnmap(const Op &op)
     {
-        if (lowOnFrames())
+        if (lowOnFrames(machine, specState))
             return std::nullopt;
         if (auto f = ensureScratch())
             return f;
@@ -1474,7 +1152,7 @@ class Executor
     Fail
     opLayerQuery(const Op &op)
     {
-        if (lowOnFrames())
+        if (lowOnFrames(machine, specState))
             return std::nullopt;
         if (auto f = ensureScratch())
             return f;
@@ -1499,26 +1177,130 @@ class Executor
     /// @name Shared oracles
     /// @{
 
+    /**
+     * Accept/reject and error-class agreement of one hv call (error
+     * None = ok) with its spec code (0 = ok); records the outcome.
+     */
     Fail
-    verdictsAgree(const char *what, const Status &st, i64 rc)
+    verdictsAgree(const char *what, HvError hv, i64 rc)
     {
-        if (st.ok() != (rc == 0)) {
+        const bool hv_ok = hv == HvError::None;
+        if (hv_ok != (rc == 0)) {
             std::ostringstream msg;
             msg << what << " verdicts differ: hv="
-                << (st.ok() ? "ok" : hvErrorName(st.error()))
-                << " spec=" << rc;
+                << (hv_ok ? "ok" : hvErrorName(hv)) << " spec=" << rc;
             return msg.str();
         }
-        if (!st.ok() && classifyHv(st.error()) != classifySpec(rc)) {
+        if (!hv_ok && classifyHv(hv) != classifySpec(rc)) {
             std::ostringstream msg;
-            msg << what << " error classes differ: hv="
-                << hvErrorName(st.error()) << " ("
-                << rcName(classifyHv(st.error())) << ") vs spec " << rc
+            msg << what << " error classes differ: hv=" << hvErrorName(hv)
+                << " (" << rcName(classifyHv(hv)) << ") vs spec " << rc
                 << " (" << rcName(classifySpec(rc)) << ")";
             return msg.str();
         }
-        lastRc = st.ok() ? Rc::Ok : classifyHv(st.error());
+        lastRc = classifyHv(hv);
         return std::nullopt;
+    }
+
+    static i64
+    specCode(const IntResult &r)
+    {
+        return r.isOk ? 0 : r.errCode;
+    }
+
+    /**
+     * Shared tail of add_page and add_pages_batch, called right after
+     * verdictsAgree (lastRc Ok = both sides accepted).  On success,
+     * mirror the new stage-1 mappings into the enclave's GPT tree
+     * (element i lands on the EPC slot the spec assigned it) and check
+     * R; then, either way, the invariants and the EPCM.
+     */
+    Fail
+    addPagesAgree(const char *what, EnclaveId hv_id, i64 spec_id,
+                  const std::vector<u64> &gvas)
+    {
+        if (lastRc == Rc::Ok) {
+            const AbsEnclave &abs = specState.enclaves.at(spec_id);
+            u64 flags = pteRwFlags;
+            if (opts.treeSkewBug)
+                flags &= ~pteFlagW;
+            std::vector<TreeBatchOp> tree_ops;
+            tree_ops.reserve(gvas.size());
+            for (u64 i = 0; i < gvas.size(); ++i)
+                tree_ops.push_back(
+                    {true, gvas[i],
+                     specState.geo.epcGpaBase +
+                         (abs.addedPages - gvas.size() + i) * pageSize,
+                     flags});
+            if (auto f = treeBatchAgree(what, hv_id, tree_ops,
+                                        abs.gptHandle))
+                return f;
+        }
+        if (auto f = invariantsAgree(what, machine, specState))
+            return f;
+        return epcmAgree(what);
+    }
+
+    /**
+     * Shared tail of evict_page and evict_pages_batch, called right
+     * after verdictsAgree.  On success, the sealed versions must match
+     * the spec's, the blobs go into OS custody and the tree mirror
+     * drops the pages (then R); either way, the invariants and the
+     * EPCM.
+     */
+    Fail
+    evictPagesAgree(const char *what, EnclaveId hv_id, i64 spec_id,
+                    const std::vector<u64> &gvas,
+                    const std::vector<hv::SealedBlob> &blobs,
+                    const std::vector<u64> &versions)
+    {
+        if (lastRc == Rc::Ok) {
+            if (blobs.size() != gvas.size() ||
+                versions.size() != gvas.size())
+                return std::string(what) +
+                       ": arity skew between hv and spec";
+            std::vector<TreeBatchOp> tree_ops;
+            tree_ops.reserve(gvas.size());
+            for (u64 i = 0; i < gvas.size(); ++i) {
+                if (blobs[i].version != versions[i]) {
+                    std::ostringstream msg;
+                    msg << what << " version skew at element " << i
+                        << ": hv " << blobs[i].version << " vs spec "
+                        << versions[i];
+                    return msg.str();
+                }
+                // Blob history is append-only, like real OS custody:
+                // stale versions stay presentable, which is what gives
+                // the anti-rollback check something to reject.
+                sealedBlobs.push_back(
+                    {blobs[i], spec_id, gvas[i], versions[i]});
+                tree_ops.push_back({false, gvas[i], 0, 0});
+            }
+            if (auto f = treeBatchAgree(
+                    what, hv_id, tree_ops,
+                    specState.enclaves.at(spec_id).gptHandle))
+                return f;
+        }
+        if (auto f = invariantsAgree(what, machine, specState))
+            return f;
+        return epcmAgree(what);
+    }
+
+    /** Apply a successful flat batch to the tree mirror, then check R. */
+    Fail
+    treeBatchAgree(const char *what, EnclaveId hv_id,
+                   const std::vector<TreeBatchOp> &tree_ops, i64 handle)
+    {
+        TreeState &tree = gptTrees.at(hv_id);
+        if (const i64 tree_rc = treeApplyBatch(tree, tree_ops);
+            tree_rc != 0) {
+            std::ostringstream msg;
+            msg << what << ": tree batch failed (rc " << tree_rc
+                << ") where the flat spec succeeded";
+            return msg.str();
+        }
+        return treeAgree((std::string(what) + " gpt").c_str(), tree,
+                         handle);
     }
 
     /** hv uncached walk vs specMemTranslate on the same va. */
@@ -1583,18 +1365,23 @@ class Executor
         return std::nullopt;
     }
 
-    /** Sec. 5.2 invariants on both the concrete and abstract states. */
+    /**
+     * Sec. 5.2 invariants of one host, the concrete and the abstract
+     * state: the main machine or the restore/migration twin.
+     */
     Fail
-    invariantsAgree(const char *where)
+    invariantsAgree(const char *where, const Machine &host,
+                    const FlatState &abs) const
     {
-        const auto hv_viol =
-            hv::checkMonitorInvariants(machine.monitor());
+        const char *side = &host == &machine ? "" : "twin ";
+        const auto hv_viol = hv::checkMonitorInvariants(host.monitor());
         if (!hv_viol.empty())
-            return std::string(where) + ": monitor invariant broken: " +
-                   hv_viol.front();
-        const auto spec_viol = sec::checkInvariants(specState);
+            return std::string(where) + ": " + side +
+                   "monitor invariant broken: " + hv_viol.front();
+        const auto spec_viol = sec::checkInvariants(abs);
         if (!spec_viol.empty())
-            return std::string(where) + ": abstract invariant broken: " +
+            return std::string(where) + ": " + side +
+                   "abstract invariant broken: " +
                    spec_viol.front().detail;
         return std::nullopt;
     }
@@ -1708,24 +1495,6 @@ class Executor
         const u64 top_base = normal_pages * 3 / 4;
         const u64 top_count = normal_pages - top_base;
         return (top_base + sel % top_count) * pageSize;
-    }
-
-    /**
-     * Resource guard: near the allocator frontier hv and spec diverge
-     * legitimately (the monitor's normal EPT costs a few frames the
-     * abstract machine does not model), so allocating ops back off
-     * while any side has fewer than 16 free frames.
-     */
-    bool
-    lowOnFrames()
-    {
-        const auto &fa = machine.monitor().ptAlloc();
-        if (fa.totalFrames() - fa.usedFrames() < 16)
-            return true;
-        u64 free_spec = 0;
-        for (const bool used : specState.allocated)
-            free_spec += used ? 0 : 1;
-        return free_spec < 16;
     }
 
     Fail

@@ -10,6 +10,7 @@
 #include "obs/flight.hh"
 #include "smp/smp_invariants.hh"
 #include "smp/smp_monitor.hh"
+#include "support/hash.hh"
 #include "support/rng.hh"
 
 namespace hev::fuzz
@@ -276,10 +277,9 @@ ExecResult
 SmpExecutor::run(const ExecOptions &opts, const Trace &trace)
 {
     ExecResult result;
-    u64 signature = 0xcbf29ce484222325ull;
+    u64 signature = fnvOffsetBasis;
     const auto fold = [&signature](u64 value) {
-        signature ^= value;
-        signature *= 0x100000001b3ull;
+        signature = fnvWordStep(signature, value);
     };
     std::set<u32> featureSet;
 

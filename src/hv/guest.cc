@@ -155,8 +155,8 @@ PrimaryOs::gptMap(Gpa root, u64 va, Gpa target, PteFlags flags,
     return okStatus();
 }
 
-Status
-PrimaryOs::gptUnmap(Gpa root, u64 va)
+Expected<Hpa>
+PrimaryOs::gptLeafEntry(Gpa root, u64 va) const
 {
     if (va % pageSize != 0)
         return HvError::NotAligned;
@@ -173,13 +173,23 @@ PrimaryOs::gptUnmap(Gpa root, u64 va)
             return HvError::Unsupported;
         table = Gpa(entry.addr());
     }
-    const u64 index = Gva(va).tableIndex(1);
-    auto raw = physRead(table + index * sizeof(u64));
+    const Gpa slot = table + Gva(va).tableIndex(1) * sizeof(u64);
+    auto raw = physRead(slot);
     if (!raw)
         return raw.error();
     if (!Pte(*raw).present())
         return HvError::NotMapped;
-    return physWrite(table + index * sizeof(u64), 0);
+    return eptTranslate(slot, true);
+}
+
+Status
+PrimaryOs::gptUnmap(Gpa root, u64 va)
+{
+    auto slot = gptLeafEntry(root, va);
+    if (!slot)
+        return slot.error();
+    monitor.mem().write(*slot, 0);
+    return okStatus();
 }
 
 Status

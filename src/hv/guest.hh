@@ -86,6 +86,14 @@ class PrimaryOs
     Status gptMap(Gpa root, u64 va, Gpa target, PteFlags flags,
                   PageTable::LeafCursor &cursor);
 
+    /**
+     * Host address of the present 4 KiB leaf entry mapping va in a
+     * guest-built table: gptUnmap's walk and checks without the write.
+     * Where the entry points does not matter; a GPA the normal EPT
+     * leaves unmapped is still a mapping the OS may remove.
+     */
+    Expected<Hpa> gptLeafEntry(Gpa root, u64 va) const;
+
     /** Remove a 4 KiB mapping from a guest-built table. */
     Status gptUnmap(Gpa root, u64 va);
 

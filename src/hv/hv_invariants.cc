@@ -3,6 +3,8 @@
 #include <map>
 #include <sstream>
 
+#include "support/hash.hh"
+
 namespace hev::hv
 {
 
@@ -307,15 +309,9 @@ namespace
 u64
 fnvWords(std::initializer_list<u64> words)
 {
-    constexpr u64 fnvOffset = 0xcbf29ce484222325ull;
-    constexpr u64 fnvPrime = 0x100000001b3ull;
-    u64 hash = fnvOffset;
-    for (u64 word : words) {
-        for (u32 byte = 0; byte < 8; ++byte) {
-            hash ^= (word >> (byte * 8)) & 0xff;
-            hash *= fnvPrime;
-        }
-    }
+    u64 hash = fnvOffsetBasis;
+    for (u64 word : words)
+        hash = fnvBytesStep(hash, word);
     return hash;
 }
 

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "obs/timer.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 
 namespace hev::hv
@@ -11,14 +12,6 @@ namespace hev::hv
 
 namespace
 {
-
-/** FNV-1a step used by the measurement stub. */
-u64
-measureStep(u64 acc, u64 word)
-{
-    acc ^= word;
-    return acc * 0x100000001b3ull;
-}
 
 /**
  * Fold one page's address and initial contents into the measurement.
@@ -35,18 +28,18 @@ measureStep(u64 acc, u64 word)
 u64
 measurePage(u64 acc, u64 page_gva, const u64 *words)
 {
-    acc = measureStep(acc, page_gva);
-    u64 lanes[4] = {measureStep(acc, 0), measureStep(acc, 1),
-                    measureStep(acc, 2), measureStep(acc, 3)};
+    acc = fnvWordStep(acc, page_gva);
+    u64 lanes[4] = {fnvWordStep(acc, 0), fnvWordStep(acc, 1),
+                    fnvWordStep(acc, 2), fnvWordStep(acc, 3)};
     static_assert(pageSize / sizeof(u64) % 4 == 0);
     for (u64 w = 0; w < pageSize / sizeof(u64); w += 4) {
-        lanes[0] = measureStep(lanes[0], words[w]);
-        lanes[1] = measureStep(lanes[1], words[w + 1]);
-        lanes[2] = measureStep(lanes[2], words[w + 2]);
-        lanes[3] = measureStep(lanes[3], words[w + 3]);
+        lanes[0] = fnvWordStep(lanes[0], words[w]);
+        lanes[1] = fnvWordStep(lanes[1], words[w + 1]);
+        lanes[2] = fnvWordStep(lanes[2], words[w + 2]);
+        lanes[3] = fnvWordStep(lanes[3], words[w + 3]);
     }
     for (const u64 lane : lanes)
-        acc = measureStep(acc, lane);
+        acc = fnvWordStep(acc, lane);
     return acc;
 }
 
@@ -124,13 +117,13 @@ u64
 sealMac(const SealedBlob &blob)
 {
     u64 acc = sealKeyConst;
-    acc = measureStep(acc, u64(blob.owner));
-    acc = measureStep(acc, blob.gva.value);
-    acc = measureStep(acc, u64(blob.kind));
-    acc = measureStep(acc, blob.gpaSlot.value);
-    acc = measureStep(acc, blob.version);
+    acc = fnvWordStep(acc, u64(blob.owner));
+    acc = fnvWordStep(acc, blob.gva.value);
+    acc = fnvWordStep(acc, u64(blob.kind));
+    acc = fnvWordStep(acc, blob.gpaSlot.value);
+    acc = fnvWordStep(acc, blob.version);
     for (const u64 word : blob.words)
-        acc = measureStep(acc, word);
+        acc = fnvWordStep(acc, word);
     return acc;
 }
 
@@ -138,9 +131,9 @@ sealMac(const SealedBlob &blob)
 u64
 pageWordsDigest(const u64 *words)
 {
-    u64 acc = 0xcbf29ce484222325ull;
+    u64 acc = fnvOffsetBasis;
     for (u64 w = 0; w < pageSize / sizeof(u64); ++w)
-        acc = measureStep(acc, words[w]);
+        acc = fnvWordStep(acc, words[w]);
     return acc;
 }
 
@@ -178,25 +171,25 @@ u64
 enclaveImageMac(const EnclaveImage &image)
 {
     u64 acc = sealKeyConst ^ 0x1'0a6e'0000ull;
-    acc = measureStep(acc, u64(image.sourceId));
-    acc = measureStep(acc, image.cfg.elrange.start.value);
-    acc = measureStep(acc, image.cfg.elrange.end.value);
-    acc = measureStep(acc, image.cfg.mbufGva.value);
-    acc = measureStep(acc, image.cfg.mbufPages);
-    acc = measureStep(acc, image.cfg.mbufBacking.value);
-    acc = measureStep(acc, image.measurement);
-    acc = measureStep(acc, image.addedPages);
-    acc = measureStep(acc, image.tcsPages);
-    acc = measureStep(acc, image.entryPoint);
-    acc = measureStep(acc, image.versionBase);
+    acc = fnvWordStep(acc, u64(image.sourceId));
+    acc = fnvWordStep(acc, image.cfg.elrange.start.value);
+    acc = fnvWordStep(acc, image.cfg.elrange.end.value);
+    acc = fnvWordStep(acc, image.cfg.mbufGva.value);
+    acc = fnvWordStep(acc, image.cfg.mbufPages);
+    acc = fnvWordStep(acc, image.cfg.mbufBacking.value);
+    acc = fnvWordStep(acc, image.measurement);
+    acc = fnvWordStep(acc, image.addedPages);
+    acc = fnvWordStep(acc, image.tcsPages);
+    acc = fnvWordStep(acc, image.entryPoint);
+    acc = fnvWordStep(acc, image.versionBase);
     for (const ImagePageMeta &meta : image.pageMeta) {
-        acc = measureStep(acc, meta.gva.value);
-        acc = measureStep(acc, u64(meta.kind));
-        acc = measureStep(acc, meta.version);
-        acc = measureStep(acc, meta.digest);
+        acc = fnvWordStep(acc, meta.gva.value);
+        acc = fnvWordStep(acc, u64(meta.kind));
+        acc = fnvWordStep(acc, meta.version);
+        acc = fnvWordStep(acc, meta.digest);
     }
     for (const SealedBlob &blob : image.pages)
-        acc = measureStep(acc, blob.mac);
+        acc = fnvWordStep(acc, blob.mac);
     return acc;
 }
 
@@ -630,7 +623,7 @@ Monitor::hcEnclaveInitFinish(EnclaveId id)
         return scope.fail(HvError::BadEnclaveState);
     if (enclave.tcsPages == 0)
         return scope.fail(HvError::InvalidParam);
-    enclave.measurement = measureStep(enclave.measurement, 0xE1417ull);
+    enclave.measurement = fnvWordStep(enclave.measurement, 0xE1417ull);
     enclave.state = EnclaveState::Initialized;
     inform("initialized (%llu pages, %llu tcs)",
            (unsigned long long)enclave.addedPages,
@@ -769,58 +762,11 @@ Expected<SealedBlob>
 Monitor::hcEnclaveEvictPage(EnclaveId id, Gva page_gva)
 {
     HypercallScope scope(statCounters, "hc_enclave_evict_page", id);
-    auto it = enclaves.find(id);
-    if (it == enclaves.end() || it->second.state == EnclaveState::Dead)
-        return scope.fail(HvError::NoSuchEnclave);
-    Enclave &enclave = it->second;
-    // Paging is a post-launch activity: while the enclave is still
-    // Adding, the OS controls residency through add_page itself.
-    if (enclave.state != EnclaveState::Initialized)
-        return scope.fail(HvError::BadEnclaveState);
-    if (!page_gva.pageAligned())
-        return scope.fail(HvError::NotAligned);
-    // Only ELRANGE pages are pageable; the marshalling buffer mapping
-    // is fixed for the enclave's entire life cycle.
-    if (!enclave.cfg.elrange.contains(page_gva))
-        return scope.fail(HvError::IsolationViolation);
-
-    PageTable gpt(physMem, &frameAlloc, enclave.gptRoot);
-    PageTable ept(physMem, &frameAlloc, enclave.eptRoot);
-    auto stage1 = gpt.query(page_gva.value);
-    if (!stage1)
-        return scope.fail(HvError::NotMapped);
-    const u64 gpa_slot = stage1->physAddr & ~(pageSize - 1);
-    auto stage2 = ept.query(gpa_slot);
-    if (!stage2)
-        return scope.fail(HvError::NotMapped);
-    const Hpa epc_page = Hpa(stage2->physAddr & ~(pageSize - 1));
-    const EpcmEntry &entry = epcMap.entryFor(epc_page);
-    if (entry.state == EpcPageState::Free || entry.owner != id)
-        return scope.fail(HvError::IsolationViolation);
-
-    SealedBlob blob;
-    blob.owner = id;
-    blob.gva = page_gva;
-    blob.kind = entry.state == EpcPageState::Tcs ? AddPageKind::Tcs
-                                                 : AddPageKind::Reg;
-    blob.gpaSlot = Gpa(gpa_slot);
-    blob.version = enclave.nextSealVersion++;
-    for (u64 off = 0; off < pageSize; off += sizeof(u64))
-        blob.words[off / sizeof(u64)] = physMem.read(epc_page + off);
-    blob.mac = sealMac(blob);
-
-    (void)gpt.unmap(page_gva.value);
-    (void)ept.unmap(gpa_slot);
-    scrubPage(epc_page);
-    (void)epcMap.freePage(epc_page);
-    // A resident vCPU may hold cached translations for the page; they
-    // must die with the mapping or a stale hit reads the scrubbed (or
-    // later re-allocated) frame.
-    tlbModel.flushDomain(id);
-    enclave.evictedPages[page_gva.value] = blob.version;
-    ++statCounters.pagesEvicted;
-    statPagesEvicted.inc();
-    return blob;
+    std::vector<SealedBlob> blobs;
+    if (const HvError error = evictPages(id, {&page_gva, 1}, blobs);
+        error != HvError::None)
+        return scope.fail(error);
+    return std::move(blobs.front());
 }
 
 Expected<std::vector<SealedBlob>>
@@ -828,14 +774,27 @@ Monitor::hcEnclaveEvictPagesBatch(EnclaveId id,
                                   const std::vector<Gva> &gvas)
 {
     HypercallScope scope(statCounters, "hc_enclave_evict_pages_batch", id);
+    std::vector<SealedBlob> blobs;
+    if (const HvError error = evictPages(id, gvas, blobs);
+        error != HvError::None)
+        return scope.fail(error);
+    return blobs;
+}
+
+HvError
+Monitor::evictPages(EnclaveId id, std::span<const Gva> gvas,
+                    std::vector<SealedBlob> &blobs)
+{
     if (gvas.empty())
-        return std::vector<SealedBlob>{};
+        return HvError::None;
     auto it = enclaves.find(id);
     if (it == enclaves.end() || it->second.state == EnclaveState::Dead)
-        return scope.fail(HvError::NoSuchEnclave);
+        return HvError::NoSuchEnclave;
     Enclave &enclave = it->second;
+    // Paging is a post-launch activity: while the enclave is still
+    // Adding, the OS controls residency through add_page itself.
     if (enclave.state != EnclaveState::Initialized)
-        return scope.fail(HvError::BadEnclaveState);
+        return HvError::BadEnclaveState;
 
     PageTable gpt(physMem, &frameAlloc, enclave.gptRoot);
     PageTable ept(physMem, &frameAlloc, enclave.eptRoot);
@@ -852,11 +811,9 @@ Monitor::hcEnclaveEvictPagesBatch(EnclaveId id,
         PteFlags eptFlags;
         EpcPageState epcState;
         Gva epcLinAddr;
-        u64 blobIndex;
     };
     std::vector<Applied> applied;
     applied.reserve(gvas.size());
-    std::vector<SealedBlob> blobs;
     blobs.reserve(gvas.size());
 
     HvError batch_error = HvError::None;
@@ -865,6 +822,8 @@ Monitor::hcEnclaveEvictPagesBatch(EnclaveId id,
             batch_error = HvError::NotAligned;
             break;
         }
+        // Only ELRANGE pages are pageable; the marshalling buffer
+        // mapping is fixed for the enclave's entire life cycle.
         if (!enclave.cfg.elrange.contains(page_gva)) {
             batch_error = HvError::IsolationViolation;
             break;
@@ -906,14 +865,15 @@ Monitor::hcEnclaveEvictPagesBatch(EnclaveId id,
 
         applied.push_back({page_gva.value, gpa_slot, epc_page,
                            stage1->flags, stage2->flags, entry.state,
-                           entry.linAddr, blobs.size()});
+                           entry.linAddr});
         blobs.push_back(std::move(blob));
     }
 
     if (batch_error == HvError::None) {
-        // One TLB maintenance pass for the whole batch: per-page
-        // invalidations instead of the single call's per-call domain
-        // flush (under SMP this becomes one vectored shootdown).  The
+        // A resident vCPU may hold cached translations of the evicted
+        // pages; they must die with the mappings or a stale hit reads
+        // the scrubbed (or later re-allocated) frame.  One per-page
+        // invalidation each (under SMP, one vectored shootdown).  The
         // planted batch bug forgets every middle page, so stale
         // translations survive only in batches of three or more.
         for (u64 i = 0; i < applied.size(); ++i) {
@@ -925,7 +885,7 @@ Monitor::hcEnclaveEvictPagesBatch(EnclaveId id,
         statCounters.pagesEvicted += applied.size();
         for (u64 i = 0; i < applied.size(); ++i)
             statPagesEvicted.inc();
-        return blobs;
+        return HvError::None;
     }
 
     // All-or-nothing: restore every sealed page in reverse — same EPCM
@@ -933,18 +893,18 @@ Monitor::hcEnclaveEvictPagesBatch(EnclaveId id,
     // contents — and rewind the anti-rollback ledger.  A mapped page
     // can have no pre-batch evictedPages record (reload erases it), so
     // erasing our insertions is exact.
-    for (auto rit = applied.rbegin(); rit != applied.rend(); ++rit) {
-        (void)epcMap.restorePage(rit->epcPage, id, rit->epcLinAddr,
-                                 rit->epcState);
-        (void)gpt.map(rit->gva, rit->gpaSlot, rit->gptFlags);
-        (void)ept.map(rit->gpaSlot, rit->epcPage.value, rit->eptFlags);
-        u64 *dst_words = physMem.pageWordsMut(rit->epcPage);
-        std::memcpy(dst_words, blobs[rit->blobIndex].words.data(),
+    for (u64 i = applied.size(); i-- > 0;) {
+        const Applied &a = applied[i];
+        (void)epcMap.restorePage(a.epcPage, id, a.epcLinAddr, a.epcState);
+        (void)gpt.map(a.gva, a.gpaSlot, a.gptFlags);
+        (void)ept.map(a.gpaSlot, a.epcPage.value, a.eptFlags);
+        std::memcpy(physMem.pageWordsMut(a.epcPage), blobs[i].words.data(),
                     pageSize);
-        enclave.evictedPages.erase(rit->gva);
+        enclave.evictedPages.erase(a.gva);
     }
     enclave.nextSealVersion = saved_seal_version;
-    return scope.fail(batch_error);
+    blobs.clear();
+    return batch_error;
 }
 
 Status

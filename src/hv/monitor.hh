@@ -22,6 +22,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "hv/enclave.hh"
@@ -346,7 +347,9 @@ class Monitor
      * an OS-held blob, then unmap it from the enclave's GPT/EPT, scrub
      * the EPC frame and release it.  The caller (the untrusted OS,
      * under memory pressure) keeps the blob; the enclave must be
-     * Initialized and the page resident at an ELRANGE address.
+     * Initialized and the page resident at an ELRANGE address.  The
+     * one-element evict_pages_batch: same checks, sealing and per-page
+     * TLB invalidation, counted as its own hypercall.
      */
     Expected<SealedBlob> hcEnclaveEvictPage(EnclaveId id, Gva page_gva);
 
@@ -377,12 +380,11 @@ class Monitor
     /**
      * evict_pages_batch: the fold of hcEnclaveEvictPage over @p gvas
      * with one hypercall's worth of overhead and all-or-nothing
-     * semantics.  Per-page TLB invalidation replaces the per-call
-     * domain flush (the SMP layer turns this into one vectored
-     * shootdown); on the first failure every already-sealed page is
-     * restored — contents, EPCM slot (same index), stage-1/2 mappings
-     * and the anti-rollback ledger — leaving the state bit-identical to
-     * the pre-batch state.
+     * semantics.  Each evicted page gets one TLB invalidation (the SMP
+     * layer turns them into one vectored shootdown); on the first
+     * failure every already-sealed page is restored — contents, EPCM
+     * slot (same index), stage-1/2 mappings and the anti-rollback
+     * ledger — leaving the state bit-identical to the pre-batch state.
      */
     Expected<std::vector<SealedBlob>>
     hcEnclaveEvictPagesBatch(EnclaveId id, const std::vector<Gva> &gvas);
@@ -510,6 +512,14 @@ class Monitor
 
     /** Scrub an EPC page before releasing it. */
     void scrubPage(Hpa page);
+
+    /**
+     * The body of both evict hypercalls: seal and unmap every page of
+     * @p gvas into @p blobs, or restore them all and return the first
+     * error (None on success; an empty span is a no-op).
+     */
+    HvError evictPages(EnclaveId id, std::span<const Gva> gvas,
+                       std::vector<SealedBlob> &blobs);
 
     MonitorConfig cfg;
     PhysMem physMem;

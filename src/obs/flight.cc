@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/stats.hh"
+#include "support/hash.hh"
 #include "support/thread_annotations.hh"
 #include "obs/trace.hh"
 
@@ -176,15 +177,9 @@ flightTail(u16 run_tag, u64 last_per_thread)
 u64
 flightArgsDigest(const FlightRecord &record)
 {
-    constexpr u64 fnvOffset = 0xcbf29ce484222325ull;
-    constexpr u64 fnvPrime = 0x100000001b3ull;
-    u64 hash = fnvOffset;
-    for (u64 word : {record.a, record.b, record.c, record.d}) {
-        for (u32 byte = 0; byte < 8; ++byte) {
-            hash ^= (word >> (byte * 8)) & 0xff;
-            hash *= fnvPrime;
-        }
-    }
+    u64 hash = fnvOffsetBasis;
+    for (u64 word : {record.a, record.b, record.c, record.d})
+        hash = fnvBytesStep(hash, word);
     return hash;
 }
 

@@ -1,5 +1,7 @@
 #include "smp/sched.hh"
 
+#include "support/hash.hh"
+
 namespace hev::smp
 {
 
@@ -8,11 +10,10 @@ InterleavingScheduler::run(u64 max_steps)
 {
     SchedResult result;
     result.stepsPerActor.assign(actors.size(), 0);
-    u64 signature = 0xcbf29ce484222325ull; // FNV-1a offset basis
+    u64 signature = fnvOffsetBasis;
 
     auto fold = [&signature](u64 value) {
-        signature ^= value;
-        signature *= 0x100000001b3ull;
+        signature = fnvWordStep(signature, value);
     };
 
     std::vector<u64> runnable;

@@ -506,25 +506,10 @@ SmpMonitor::hcEnclaveReport(VcpuId v)
 Expected<hv::SealedBlob>
 SmpMonitor::hcEnclaveEvictPage(VcpuId v, EnclaveId id, Gva page_gva)
 {
-    Expected<hv::SealedBlob> blob = HvError::PermissionDenied;
-    {
-        SharedServicingGuard guard(*this, structuralLock, v,
-                                   LockRank::Structural);
-        if (cpus[v]->arch.mode != hv::CpuMode::GuestNormal)
-            return HvError::PermissionDenied;
-        Mutex *lock = enclaveLock(id);
-        MutexServicingGuard enclave_guard(*this, *lock, v,
-                                          LockRank::Enclave);
-        blob = monitor().hcEnclaveEvictPage(id, page_gva);
-        if (!blob)
-            return blob;
-        cpus[v]->tlb.invalidatePage(id, page_gva.value);
-    }
-    // All locks dropped before the ack wait, exactly like osUnmap: a
-    // resident sibling vCPU may hold a cached translation of the
-    // evicted page and needs structuralLock to make progress.
-    shootdown(v, id);
-    return blob;
+    auto blobs = hcEnclaveEvictPagesBatch(v, id, {page_gva});
+    if (!blobs)
+        return blobs.error();
+    return std::move(blobs->front());
 }
 
 Status
@@ -655,18 +640,18 @@ SmpMonitor::osUnmapBatch(VcpuId v, const std::vector<u64> &vas)
         // page table has no frame pressure on the unmap path, so unlike
         // the enclave batches nothing can fail after this point and
         // validate-then-apply gives all-or-nothing without a rollback.
+        // The check is gptUnmap's own walk, so an element fails with
+        // exactly the error unmapping it alone would return.
+        const Gpa root(cpu.arch.gptRoot.value);
         std::set<u64> seen;
         for (const u64 va : vas) {
             if (va % pageSize != 0)
                 return HvError::NotAligned;
             if (!seen.insert(va).second)
                 return HvError::InvalidParam;
-            if (auto hpa = monitor().translateUncached(
-                    cpu.arch.gptRoot, cpu.arch.eptRoot, Gva(va), false);
-                !hpa)
-                return hpa.error();
+            if (auto slot = mach.os().gptLeafEntry(root, va); !slot)
+                return slot.error();
         }
-        const Gpa root(cpu.arch.gptRoot.value);
         const bool skip_middle =
             monitor().config().planted.batchSkipMiddleInvalidate;
         inval.reserve(vas.size());
@@ -699,19 +684,20 @@ SmpMonitor::osProtectRoBatch(VcpuId v,
             return HvError::PermissionDenied;
         ExclusiveServicingGuard pt_guard(*this, osPtLock, v,
                                          LockRank::OsPt);
+        // osUnmapBatch's validation, plus the remap's own check: an
+        // unaligned target fails before any entry is touched.
+        const Gpa root(cpu.arch.gptRoot.value);
         std::set<u64> seen;
         for (const auto &[va, target] : elems) {
-            (void)target;
             if (va % pageSize != 0)
                 return HvError::NotAligned;
             if (!seen.insert(va).second)
                 return HvError::InvalidParam;
-            if (auto hpa = monitor().translateUncached(
-                    cpu.arch.gptRoot, cpu.arch.eptRoot, Gva(va), false);
-                !hpa)
-                return hpa.error();
+            if (auto slot = mach.os().gptLeafEntry(root, va); !slot)
+                return slot.error();
+            if (target.value % pageSize != 0)
+                return HvError::NotAligned;
         }
-        const Gpa root(cpu.arch.gptRoot.value);
         const bool skip_middle =
             monitor().config().planted.batchSkipMiddleInvalidate;
         inval.reserve(elems.size());
@@ -724,7 +710,7 @@ SmpMonitor::osProtectRoBatch(VcpuId v,
             if (auto st = mach.os().gptMap(root, va, target,
                                            hv::PteFlags::userRo());
                 !st)
-                return st;
+                return st; // unreachable: validated above
             if (skip_middle && i > 0 && i + 1 < elems.size())
                 continue;
             cpu.tlb.invalidatePage(hv::normalVmDomain, va);
@@ -740,23 +726,7 @@ SmpMonitor::osProtectRoBatch(VcpuId v,
 Status
 SmpMonitor::osUnmap(VcpuId v, u64 va)
 {
-    {
-        SharedServicingGuard guard(*this, structuralLock, v,
-                                   LockRank::Structural);
-        SmpVcpu &cpu = *cpus[v];
-        if (cpu.arch.mode != hv::CpuMode::GuestNormal)
-            return HvError::PermissionDenied;
-        ExclusiveServicingGuard pt_guard(*this, osPtLock, v,
-                                         LockRank::OsPt);
-        if (auto st = mach.os().gptUnmap(Gpa(cpu.arch.gptRoot.value), va);
-            !st)
-            return st;
-        cpu.tlb.invalidatePage(hv::normalVmDomain, va);
-    }
-    // All locks dropped: the ack wait must not block targets that need
-    // osPtLock or structuralLock to make progress.
-    shootdown(v, hv::normalVmDomain);
-    return okStatus();
+    return osUnmapBatch(v, {va});
 }
 
 Status
@@ -775,25 +745,7 @@ SmpMonitor::osMap(VcpuId v, u64 va, Gpa target)
 Status
 SmpMonitor::osProtectRo(VcpuId v, u64 va, Gpa target)
 {
-    {
-        SharedServicingGuard guard(*this, structuralLock, v,
-                                   LockRank::Structural);
-        SmpVcpu &cpu = *cpus[v];
-        if (cpu.arch.mode != hv::CpuMode::GuestNormal)
-            return HvError::PermissionDenied;
-        ExclusiveServicingGuard pt_guard(*this, osPtLock, v,
-                                         LockRank::OsPt);
-        const Gpa root = Gpa(cpu.arch.gptRoot.value);
-        if (auto st = mach.os().gptUnmap(root, va); !st)
-            return st;
-        if (auto st = mach.os().gptMap(root, va, target,
-                                       hv::PteFlags::userRo()); !st)
-            return st;
-        cpu.tlb.invalidatePage(hv::normalVmDomain, va);
-    }
-    // A stale writable entry elsewhere would defeat the downgrade.
-    shootdown(v, hv::normalVmDomain);
-    return okStatus();
+    return osProtectRoBatch(v, {{va, target}});
 }
 
 Status

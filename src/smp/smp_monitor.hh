@@ -25,11 +25,14 @@
  * enabled, and what makes the wait deadlock free.
  *
  * Shootdown protocol (unmap / permission downgrade / destroy):
- *   initiate: bump the global epoch to G, post {G, domain} into every
- *             other vCPU's IPI mailbox, flush the initiator's own TLB.
+ *   initiate: bump the global epoch to G, post {G, domain, pages}
+ *             into every other vCPU's IPI mailbox, invalidate the
+ *             pages in the initiator's own TLB (unmap, downgrade and
+ *             evict name their pages; destroy names none and flushes
+ *             the whole domain).
  *   service:  a vCPU (always on its own thread) drains its mailbox,
- *             flushes the requested domains from its TLB, and
- *             publishes G as its ack generation.
+ *             invalidates the requested pages (or domains) in its TLB,
+ *             and publishes G as its ack generation.
  *   complete: the initiator returns only once every target's ack
  *             generation has reached G.  The planted skipShootdownAck
  *             bug returns without waiting — remote vCPUs keep
@@ -188,10 +191,10 @@ class SmpMonitor
     Expected<hv::EnclaveReport> hcEnclaveReport(VcpuId v);
 
     /**
-     * EWB analogue: seal + evict one resident enclave page, then run
-     * the shootdown protocol over the enclave's domain with all locks
-     * dropped (the osUnmap pattern) — a sibling vCPU resident in the
-     * enclave may hold a cached translation of the page.
+     * EWB analogue: the one-element hcEnclaveEvictPagesBatch — seal +
+     * evict one resident enclave page, then one vectored shootdown of
+     * that page with all locks dropped (a sibling vCPU resident in the
+     * enclave may hold a cached translation of it).
      */
     Expected<hv::SealedBlob> hcEnclaveEvictPage(VcpuId v, EnclaveId id,
                                                 Gva page_gva);
@@ -239,8 +242,8 @@ class SmpMonitor
     /// @{
 
     /**
-     * Unmap va from this vCPU's current guest page table, then run the
-     * shootdown protocol over the normal-VM domain.
+     * Unmap va from this vCPU's current guest page table: the
+     * one-element osUnmapBatch (one vectored shootdown of va).
      */
     Status osUnmap(VcpuId v, u64 va);
 
@@ -250,25 +253,27 @@ class SmpMonitor
     /**
      * Permission downgrade: remap va read-only onto `target`, then
      * shootdown (a stale writable entry would be a coherence hole).
+     * The one-element osProtectRoBatch.
      */
     Status osProtectRo(VcpuId v, u64 va, Gpa target);
 
     /**
      * Batched unmap: validate the whole batch first (every va aligned,
-     * mapped, and unique), then unmap all of them under one osPtLock
-     * hold and retire remote translations with **one** vectored
-     * shootdown (one ack generation for the whole batch).  A failed
-     * validation leaves the tables untouched.  While the shootdown is
-     * in flight the batch's vas are registered, and
+     * unique, and mapped by a present 4 KiB GPT leaf — the entry's
+     * target need not be EPT-mapped), then unmap all of them under one
+     * osPtLock hold and retire remote translations with **one**
+     * vectored shootdown (one ack generation for the whole batch).  A
+     * failed validation leaves the tables untouched.  While the
+     * shootdown is in flight the batch's vas are registered, and
      * hcEnclaveReloadPage of a blob targeting one of them fails with
      * ShootdownInFlight.
      */
     Status osUnmapBatch(VcpuId v, const std::vector<u64> &vas);
 
     /**
-     * Batched permission downgrade: same all-or-nothing validation and
-     * single vectored shootdown as osUnmapBatch, remapping each
-     * (va, target) pair read-only.
+     * Batched permission downgrade: same all-or-nothing validation
+     * (plus page-aligned targets) and single vectored shootdown as
+     * osUnmapBatch, remapping each (va, target) pair read-only.
      */
     Status osProtectRoBatch(VcpuId v,
                             const std::vector<std::pair<u64, Gpa>> &elems);

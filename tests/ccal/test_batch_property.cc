@@ -5,8 +5,10 @@
  * deliberate failure injections (misaligned and out-of-ELRANGE
  * elements, secure sources, duplicate targets, frame and EPC
  * exhaustion at a random element k), each instance discharged by
- * checkAddBatchFold / checkEvictBatchFold — which also carry the
- * refinement and tree-level obligations (see docs/BATCHING.md).
+ * checkAddBatchFold / checkEvictBatchFold: refinement R of the lifted
+ * tables and the tree-level batch against the lift of the flat result
+ * (see docs/BATCHING.md).  The flat half needs no check: the batch
+ * specs are defined as the fold.
  */
 
 #include <gtest/gtest.h>
@@ -230,7 +232,7 @@ TEST(BatchFoldProperty, EpcExhaustionAtElementKRestoresPreState)
 {
     // Four EPC pages, six-element batch: the fold dies at element 4
     // with errOutOfEpc and the batch must land bit-identically on the
-    // pre state (the checker proves it; we re-assert the visible bits).
+    // pre state.
     Geometry geo;
     geo.epcCount = 4;
     FlatState s(geo);

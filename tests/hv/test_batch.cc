@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include "hv/hv_invariants.hh"
 #include "hv/machine.hh"
 #include "hv/monitor.hh"
+#include "support/hash.hh"
 
 namespace hev::hv
 {
@@ -41,14 +43,6 @@ batchEnclaveConfig()
     return cfg;
 }
 
-u64
-mix(u64 h, u64 v)
-{
-    h ^= v;
-    h *= 0x100000001b3ull;
-    return h;
-}
-
 /**
  * Digest of everything the batch theorem quantifies over: the EPCM
  * (entries *and* page contents), the free-page count, and each live
@@ -59,27 +53,27 @@ mix(u64 h, u64 v)
 u64
 monitorDigest(const Monitor &mon)
 {
-    u64 h = 0xcbf29ce484222325ull;
+    u64 h = fnvOffsetBasis;
     mon.epcm().forEachUsed([&](Hpa page, const EpcmEntry &entry) {
-        h = mix(h, page.value);
-        h = mix(h, u64(entry.state));
-        h = mix(h, u64(entry.owner));
-        h = mix(h, entry.linAddr.value);
+        h = fnvWordStep(h, page.value);
+        h = fnvWordStep(h, u64(entry.state));
+        h = fnvWordStep(h, u64(entry.owner));
+        h = fnvWordStep(h, entry.linAddr.value);
         for (u64 off = 0; off < pageSize; off += 8)
-            h = mix(h, mon.mem().read(Hpa(page.value + off)));
+            h = fnvWordStep(h, mon.mem().read(Hpa(page.value + off)));
     });
-    h = mix(h, mon.epcm().freePages());
+    h = fnvWordStep(h, mon.epcm().freePages());
     mon.forEachEnclave([&](const Enclave &enc) {
-        h = mix(h, u64(enc.id));
-        h = mix(h, u64(enc.state));
-        h = mix(h, enc.addedPages);
-        h = mix(h, enc.tcsPages);
-        h = mix(h, enc.entryPoint);
-        h = mix(h, enc.measurement);
-        h = mix(h, enc.nextSealVersion);
+        h = fnvWordStep(h, u64(enc.id));
+        h = fnvWordStep(h, u64(enc.state));
+        h = fnvWordStep(h, enc.addedPages);
+        h = fnvWordStep(h, enc.tcsPages);
+        h = fnvWordStep(h, enc.entryPoint);
+        h = fnvWordStep(h, enc.measurement);
+        h = fnvWordStep(h, enc.nextSealVersion);
         for (const auto &[gva, version] : enc.evictedPages) {
-            h = mix(h, gva);
-            h = mix(h, version);
+            h = fnvWordStep(h, gva);
+            h = fnvWordStep(h, version);
         }
     });
     return h;
@@ -387,6 +381,49 @@ TEST(BatchEvict, TlbMaintenanceIsVectoredNotDomainWide)
             << "stale entry for evicted page " << i;
     EXPECT_TRUE(
         mon.tlb().lookup(domain, enc->mbufGva.value).has_value());
+    ASSERT_TRUE(mon.hcEnclaveExit(machine.vcpu()).ok());
+}
+
+TEST(BatchEvict, SingleEvictUnderResidencyRetiresOnlyItsPage)
+{
+    // The single evict is the one-element batch: it invalidates the
+    // evicted page and nothing else, even with the vCPU resident.
+    Machine machine(smallConfig());
+    auto enc = machine.setupEnclave(0x10'0000, 2, 1, 0xd000);
+    ASSERT_TRUE(enc.ok());
+    Monitor &mon = machine.monitor();
+    const DomainId domain = DomainId(enc->id);
+
+    ASSERT_TRUE(mon.hcEnclaveEnter(enc->id, machine.vcpu()).ok());
+    ASSERT_TRUE(machine.memLoad(Gva(0x10'0000)).ok());
+    ASSERT_TRUE(machine.memLoad(Gva(0x10'1000)).ok());
+    ASSERT_EQ(mon.tlb().countDomain(domain), 2u);
+
+    const u64 calls_before = mon.stats().hypercalls;
+    auto blob = mon.hcEnclaveEvictPage(enc->id, Gva(0x10'0000));
+    ASSERT_TRUE(blob.ok());
+    EXPECT_EQ(mon.stats().hypercalls, calls_before + 1);
+
+    EXPECT_FALSE(mon.tlb().lookup(domain, 0x10'0000).has_value());
+    EXPECT_TRUE(mon.tlb().lookup(domain, 0x10'1000).has_value());
+    // Coherence: every surviving entry agrees with a fresh walk, and
+    // the evicted page faults instead of hitting a stale entry.
+    const Enclave *live = mon.findEnclave(enc->id);
+    ASSERT_NE(live, nullptr);
+    mon.tlb().forEach([&](DomainId d, u64 va, const TlbEntry &entry) {
+        if (d != domain)
+            return;
+        auto walk = mon.translateEnclaveUncached(live->gptRoot,
+                                                 live->eptRoot, Gva(va),
+                                                 false);
+        ASSERT_TRUE(walk.ok()) << "stale entry for va " << std::hex << va;
+        EXPECT_EQ(walk->pageBase().value, entry.hpaPage);
+    });
+    const auto gone = machine.memLoad(Gva(0x10'0000));
+    ASSERT_FALSE(gone.ok());
+    EXPECT_EQ(gone.error(), HvError::NotMapped);
+    EXPECT_TRUE(machine.memLoad(Gva(0x10'1000)).ok());
+    EXPECT_TRUE(checkMonitorInvariants(mon).empty());
     ASSERT_TRUE(mon.hcEnclaveExit(machine.vcpu()).ok());
 }
 

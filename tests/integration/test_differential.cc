@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "ccal/specs.hh"
+#include "fuzz/error_class.hh"
 #include "hv/machine.hh"
 #include "support/rng.hh"
 
@@ -25,6 +26,8 @@ namespace
 
 using namespace ccal;
 using namespace ccal::spec;
+using fuzz::classifyHv;
+using fuzz::classifySpec;
 using hv::AddPageKind;
 using hv::EnclaveConfig;
 using hv::Machine;
@@ -52,52 +55,6 @@ abstractGeometry()
     geo.epcCount = cfg.layout.epcBytes / pageSize;
     geo.normalLimit = cfg.layout.secureBase();
     return geo;
-}
-
-/** Coarse error classes shared by both sides. */
-enum class ErrClass
-{
-    Ok,
-    Invalid,     //!< malformed parameters / alignment
-    Isolation,   //!< would breach spatial isolation
-    Conflict,    //!< already mapped / lifecycle violation
-    Resource,    //!< out of frames or EPC
-    NoSuch,      //!< unknown enclave
-};
-
-ErrClass
-classifyHv(HvError error)
-{
-    switch (error) {
-      case HvError::None: return ErrClass::Ok;
-      case HvError::InvalidParam:
-      case HvError::NotAligned: return ErrClass::Invalid;
-      case HvError::IsolationViolation: return ErrClass::Isolation;
-      case HvError::AlreadyMapped:
-      case HvError::BadEnclaveState:
-      case HvError::EpcmConflict: return ErrClass::Conflict;
-      case HvError::OutOfMemory:
-      case HvError::OutOfEpc: return ErrClass::Resource;
-      case HvError::NoSuchEnclave: return ErrClass::NoSuch;
-      default: return ErrClass::Invalid;
-    }
-}
-
-ErrClass
-classifySpec(i64 code)
-{
-    switch (code) {
-      case 0: return ErrClass::Ok;
-      case errInvalidParam:
-      case errNotAligned: return ErrClass::Invalid;
-      case errIsolation: return ErrClass::Isolation;
-      case errAlreadyMapped:
-      case errBadState: return ErrClass::Conflict;
-      case errOutOfMemory:
-      case errOutOfEpc: return ErrClass::Resource;
-      case errNoSuchEnclave: return ErrClass::NoSuch;
-      default: return ErrClass::Invalid;
-    }
 }
 
 struct DifferentialRig

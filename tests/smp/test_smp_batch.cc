@@ -269,6 +269,97 @@ TEST(SmpBatch, ReloadIntoInFlightBatchedShootdownIsRefused)
     EXPECT_EQ(*word, 0x5e7ull);
     ASSERT_TRUE(smp.hcEnclaveExit(1));
     EXPECT_TRUE(checkTlbCoherence(smp).empty());
+
+    // A single osUnmap is the one-element batch, so its page is fenced
+    // too.  Seal the page again, restore the kernel mapping the batch
+    // removed, warm it remotely, then unmap it alone.
+    auto blobAgain = smp.hcEnclaveEvictPage(0, *enc, Gva(0x10'0000));
+    ASSERT_TRUE(blobAgain);
+    ASSERT_TRUE(smp.osMap(0, 0x10'0000, Gpa(0x10'0000)));
+    ASSERT_TRUE(smp.memLoad(1, Gva(0x10'0000)));
+    probes = 0;
+    inFlightSeen = false;
+    fencedError = HvError::None;
+    smp.setIpiDriver([&](VcpuId, u64) {
+        if (probes++ == 0) {
+            inFlightSeen = smp.shootdownPageInFlight(0x10'0000);
+            const auto fenced =
+                smp.hcEnclaveReloadPage(0, *enc, *blobAgain);
+            fencedError = fenced ? HvError::None : fenced.error();
+        }
+        for (VcpuId w = 0; w < smp.vcpuCount(); ++w)
+            smp.serviceIpis(w);
+    });
+    const u64 epochBefore = smp.shootdownEpoch();
+    ASSERT_TRUE(smp.osUnmap(0, 0x10'0000));
+    EXPECT_EQ(smp.shootdownEpoch(), epochBefore + 1);
+    EXPECT_GT(probes, 0);
+    EXPECT_TRUE(inFlightSeen);
+    EXPECT_EQ(fencedError, HvError::ShootdownInFlight);
+    EXPECT_FALSE(smp.shootdownPageInFlight(0x10'0000));
+    ASSERT_TRUE(smp.hcEnclaveReloadPage(0, *enc, *blobAgain));
+    EXPECT_TRUE(checkSmpInvariants(smp).empty());
+    EXPECT_TRUE(checkTlbCoherence(smp).empty());
+}
+
+TEST(SmpBatch, UnmapNeedsAGptLeafNotAnEptBackedTarget)
+{
+    // The rule single and batched unmap share: an element is valid iff
+    // the GPT holds a present 4 KiB leaf for it.  Where the leaf points
+    // does not matter — a target the normal EPT leaves unmapped (here
+    // the secure region) is still the OS's own entry to remove.
+    SmpMonitor smp(smallConfig(2));
+    installServiceAllDriver(smp);
+    const Gpa secure(smp.monitor().config().layout.secureBase());
+    const u64 vaA = 0x300'0000;
+    const u64 vaB = 0x300'1000;
+    ASSERT_TRUE(smp.osMap(0, vaA, secure));
+    ASSERT_TRUE(smp.osMap(0, vaB, secure + pageSize));
+    const auto fault = smp.memLoad(1, Gva(vaA));
+    ASSERT_FALSE(fault);
+    EXPECT_EQ(fault.error(), HvError::NotMapped);
+
+    const u64 epochBefore = smp.shootdownEpoch();
+    EXPECT_TRUE(smp.osUnmap(0, vaA));
+    EXPECT_TRUE(smp.osUnmapBatch(0, {vaB}));
+    EXPECT_EQ(smp.shootdownEpoch(), epochBefore + 2);
+
+    // Both leaves are gone: a second unmap of either, alone or in a
+    // batch, fails the same way and burns no generation.
+    const auto again = smp.osUnmap(0, vaA);
+    ASSERT_FALSE(again);
+    EXPECT_EQ(again.error(), HvError::NotMapped);
+    const auto againBatch = smp.osUnmapBatch(0, {vaB});
+    ASSERT_FALSE(againBatch);
+    EXPECT_EQ(againBatch.error(), HvError::NotMapped);
+    EXPECT_EQ(smp.shootdownEpoch(), epochBefore + 2);
+    EXPECT_TRUE(checkTlbCoherence(smp).empty());
+}
+
+TEST(SmpBatch, ProtectRoWithUnalignedTargetTouchesNothing)
+{
+    // The remap's target check runs in validation, before any entry is
+    // unmapped: a bad last element leaves every page writable.
+    SmpMonitor smp(smallConfig(2));
+    installServiceAllDriver(smp);
+    const std::vector<u64> vas = mapAndWarmSlots(smp, 2);
+    const auto page = smp.machine().os().allocPage();
+    ASSERT_TRUE(page);
+    const u64 epochBefore = smp.shootdownEpoch();
+
+    const auto single = smp.osProtectRo(0, vas[0], *page + 0x100);
+    ASSERT_FALSE(single);
+    EXPECT_EQ(single.error(), HvError::NotAligned);
+    const auto batch = smp.osProtectRoBatch(
+        0, {{vas[0], *page}, {vas[1], *page + 0x100}});
+    ASSERT_FALSE(batch);
+    EXPECT_EQ(batch.error(), HvError::NotAligned);
+
+    EXPECT_EQ(smp.shootdownEpoch(), epochBefore);
+    for (VcpuId v = 0; v < smp.vcpuCount(); ++v)
+        for (const u64 va : vas)
+            EXPECT_TRUE(smp.memStore(v, Gva(va), 0x77));
+    EXPECT_TRUE(checkTlbCoherence(smp).empty());
 }
 
 TEST(SmpBatch, PlantedSkipMiddleLeavesExactlyTheMiddleStale)

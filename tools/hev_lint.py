@@ -12,7 +12,7 @@ The repo keeps several parallel structures that must not drift:
                  and a dispatch case in both executors.
   err-parity     every HvError variant has a name in hvErrorName
                  (src/support/result.cc) and an explicit coarse class in
-                 classifyHv (src/fuzz/executor.cc) — no catch-all.
+                 classifyHv (src/fuzz/error_class.hh) — no catch-all.
   lock-dag       the HEV_ACQUIRED_AFTER declarations in
                  src/smp/smp_monitor.hh form an acyclic graph consistent
                  with the LockRank order (src/smp/lock_witness.hh), and
@@ -315,7 +315,7 @@ def check_err_parity(root, cindex):
     ran = False
     for rel, what in (
         ("src/support/result.cc", "hvErrorName"),
-        ("src/fuzz/executor.cc", "classifyHv"),
+        ("src/fuzz/error_class.hh", "classifyHv"),
     ):
         text = read(root, rel)
         if text is None:
